@@ -35,10 +35,10 @@ from .core import (
     PhaseState,
     PlanarConfiguration,
     PotentialSpec,
+    kinetic_energy,
     moment_of_inertia,
     mutual_distances,
     potential_energy,
-    total_energy,
 )
 from .dynamics import (
     RK4,
@@ -258,7 +258,7 @@ def write_trajectory_csv(traj: Trajectory, sink) -> None:
     for state in traj.samples:
         inertia = moment_of_inertia(state.config, traj.m)
         u = potential_energy(traj.potential, state.config, traj.m)
-        e = total_energy(traj.potential, state, traj.m)
+        e = kinetic_energy(state, traj.m) + u
         row = [state.t]
         for body in range(traj.m.n):
             row.extend([state.config.q[body, 0], state.config.q[body, 1],

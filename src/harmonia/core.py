@@ -15,6 +15,7 @@ contrast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,8 @@ POTENTIAL_KINDS = (HARMONIC, NEWTONIAN, POWER)
 # Pair separations below this count as collisions for singular potentials.
 COLLISION_EPS = 1e-12
 
+# Relative slack of the triangle-inequality check on hand-built tables,
+# scaled by the table's largest entry (at least 1).
 _TRIANGLE_SLACK = 1e-12
 
 
@@ -176,30 +179,50 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class MutualDistanceTable:
-    """Symmetric pair-distance table with zero diagonal."""
+    """Symmetric pair-distance table with zero diagonal.
+
+    A table built by hand must also satisfy r_ij <= r_ik + r_kj for every
+    triple, within a slack of 1e-12 times max(1, largest entry). Tables
+    that ``mutual_distances`` derives from positions satisfy it by
+    geometry and skip that O(n^3) check.
+    """
 
     r: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.array(self.r, dtype=float)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValidationError("r", "expected a square table")
-        if not np.all(np.isfinite(r)):
-            raise ValidationError("r", "distances must be finite")
-        if np.any(r < 0.0):
-            raise ValidationError("r", "distances must be nonnegative")
-        if np.any(np.diag(r) != 0.0):
-            raise ValidationError("r", "diagonal must be zero")
-        if not np.array_equal(r, r.T):
-            raise ValidationError("r", "table must be symmetric")
-        # r_ij <= r_ik + r_kj for every triple, within floating slack
-        if not np.all(r[:, None, :] <= r[:, :, None] + r[None, :, :] + _TRIANGLE_SLACK):
-            raise ValidationError("r", "triangle inequality violated")
+        r = _checked_table(self.r)
+        slack = _TRIANGLE_SLACK * max(1.0, float(r.max(initial=0.0)))
+        # r_ij <= r_ik + r_kj, one middle index k at a time to keep memory O(n^2)
+        for k in range(r.shape[0]):
+            if not np.all(r <= r[:, k, None] + r[None, k, :] + slack):
+                raise ValidationError("r", "triangle inequality violated")
         object.__setattr__(self, "r", _frozen(r))
+
+    @classmethod
+    def _derived(cls, r: np.ndarray) -> "MutualDistanceTable":
+        """Table computed from positions: every check but the triangle inequality."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "r", _frozen(_checked_table(r)))
+        return table
 
     @property
     def n(self) -> int:
         return int(self.r.shape[0])
+
+
+def _checked_table(r) -> np.ndarray:
+    r = np.array(r, dtype=float)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValidationError("r", "expected a square table")
+    if not np.all(np.isfinite(r)):
+        raise ValidationError("r", "distances must be finite")
+    if np.any(r < 0.0):
+        raise ValidationError("r", "distances must be nonnegative")
+    if np.any(np.diag(r) != 0.0):
+        raise ValidationError("r", "diagonal must be zero")
+    if not np.array_equal(r, r.T):
+        raise ValidationError("r", "table must be symmetric")
+    return r
 
 
 def as_mass_vector(m) -> MassVector:
@@ -216,22 +239,39 @@ def _check_pairing(config: PlanarConfiguration, m: MassVector) -> None:
             "q", f"configuration has {config.n} bodies but masses have {m.n}")
 
 
-def _displacements(q: np.ndarray):
-    d = q[:, None, :] - q[None, :, :]
-    r = np.sqrt((d * d).sum(axis=2))
-    return d, r
+def _distance_matrix(q: np.ndarray) -> np.ndarray:
+    """Dense n x n table of pair distances |q_i - q_j|."""
+    x = q[:, 0]
+    y = q[:, 1]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    return np.sqrt(dx * dx + dy * dy)
 
 
-def _require_separation(r: np.ndarray, potential: PotentialSpec) -> None:
-    if not potential.singular:
-        return
-    n = r.shape[0]
-    masked = r + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-    rmin = float(masked.min())
-    if rmin < COLLISION_EPS:
-        i, j = np.unravel_index(int(masked.argmin()), masked.shape)
-        raise CollisionSingularity(
-            f"bodies {i + 1} and {j + 1} separated by {rmin:.3e}")
+@lru_cache(maxsize=8)
+def _pair_indices(n: int):
+    """Row-major (i, j) index arrays of the pairs i < j, shared across calls."""
+    return tuple(_frozen(a) for a in np.triu_indices(n, 1))
+
+
+def _pair_separations(potential: PotentialSpec, q: np.ndarray):
+    """One pass over the pairs i < j: indices, x and y offsets q_i - q_j, and r_ij.
+
+    Raises CollisionSingularity, naming the first closest pair in row-major
+    order, when a singular potential sees a separation below COLLISION_EPS.
+    """
+    i, j = _pair_indices(q.shape[0])
+    x = q[:, 0]
+    y = q[:, 1]
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
+    r = np.sqrt(dx * dx + dy * dy)
+    if potential.singular:
+        k = int(r.argmin())
+        if r[k] < COLLISION_EPS:
+            raise CollisionSingularity(
+                f"bodies {i[k] + 1} and {j[k] + 1} separated by {float(r[k]):.3e}")
+    return i, j, dx, dy, r
 
 
 def _mass_weighted_offsets(q: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -255,10 +295,13 @@ def center_of_mass(config, m) -> np.ndarray:
 
 
 def mutual_distances(config) -> MutualDistanceTable:
-    """Euclidean pair distances r_ij = |q_i - q_j|."""
+    """Euclidean pair distances r_ij = |q_i - q_j|.
+
+    The table comes from positions, so the triangle inequality holds by
+    geometry and is not checked again.
+    """
     config = as_configuration(config)
-    _, r = _displacements(config.q)
-    return MutualDistanceTable(r)
+    return MutualDistanceTable._derived(_distance_matrix(config.q))
 
 
 def moment_of_inertia(config, m) -> float:
@@ -270,8 +313,8 @@ def moment_of_inertia(config, m) -> float:
     config = as_configuration(config)
     m = as_mass_vector(m)
     _check_pairing(config, m)
-    _, r = _displacements(config.q)
-    w = np.outer(m.m, m.m)
+    r = _distance_matrix(config.q)
+    w = m.m[:, None] * m.m[None, :]
     return float((w * r * r).sum() / (2.0 * m.total))
 
 
@@ -294,32 +337,33 @@ def potential_energy(potential: PotentialSpec, config, m) -> float:
     _check_pairing(config, m)
     if potential.kind == HARMONIC:
         return 0.5 * m.total * moment_of_inertia(config, m)
-    _, r = _displacements(config.q)
-    _require_separation(r, potential)
-    w = np.outer(m.m, m.m)
-    safe = np.where(r == 0.0, 1.0, r)
+    i, j, _, _, r = _pair_separations(potential, config.q)
+    w = m.m[i] * m.m[j]
     if potential.kind == NEWTONIAN:
-        terms = -w / safe
-    else:
-        terms = potential.coupling * w * safe ** potential.exponent
-    terms = np.where(r == 0.0, 0.0, terms)
-    return 0.5 * float(terms.sum())
+        return -float((w / r).sum())
+    # r ** alpha is 0 at a coincident pair when alpha > 0
+    return potential.coupling * float((w * r ** potential.exponent).sum())
 
 
 def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> np.ndarray:
     if potential.kind == HARMONIC:
         return float(mass.sum()) * _mass_weighted_offsets(q, mass)
-    d, r = _displacements(q)
-    _require_separation(r, potential)
-    w = np.outer(mass, mass)
-    safe = np.where(r == 0.0, 1.0, r)
+    i, j, dx, dy, r = _pair_separations(potential, q)
+    w = mass[i] * mass[j]
     if potential.kind == NEWTONIAN:
-        coef = w / safe ** 3
+        coef = w / (r * r * r)
     else:
-        coef = potential.coupling * potential.exponent * w * safe ** (potential.exponent - 2.0)
-    # coincident pairs exert no force under nonsingular kinds (pass-through)
-    coef = np.where(r == 0.0, 0.0, coef)
-    return (coef[:, :, None] * d).sum(axis=1)
+        # coincident pairs exert no force under nonsingular kinds (pass-through):
+        # dx = dy = 0 there, so r = 1 in place of r = 0 keeps the product finite
+        coef = (potential.coupling * potential.exponent) * w \
+            * (r + (r == 0.0)) ** (potential.exponent - 2.0)
+    n = q.shape[0]
+    fx = coef * dx
+    fy = coef * dy
+    grad = np.empty((n, 2))
+    grad[:, 0] = np.bincount(i, fx, n) - np.bincount(j, fx, n)
+    grad[:, 1] = np.bincount(i, fy, n) - np.bincount(j, fy, n)
+    return grad
 
 
 def potential_gradient(potential: PotentialSpec, config, m) -> np.ndarray:

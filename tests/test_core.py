@@ -1,6 +1,7 @@
 """Invariants, potentials, and gradients of the core module."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,23 @@ def test_distance_table_invariants_enforced():
         MutualDistanceTable([[1.0, 1.0], [1.0, 0.0]])  # nonzero diagonal
     with pytest.raises(ValidationError):
         MutualDistanceTable([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+
+
+def test_triangle_slack_scales_with_the_table(rng):
+    # collinear triples near 1e6: r_ac = r_ab + r_bc holds only to rounding,
+    # which an absolute slack of 1e-12 rejected for about one triple in five
+    for _ in range(200):
+        t = np.sort(rng.uniform(0.0, 1.0, size=3))
+        q = 1e6 + np.outer(1e6 * t, rng.normal(size=2))
+        d = q[:, None, :] - q[None, :, :]
+        r = np.sqrt((d * d).sum(axis=2))
+        assert np.array_equal(MutualDistanceTable(r).r, r)
+        assert mutual_distances(q).n == 3
+    bad = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    with pytest.raises(ValidationError, match="triangle inequality"):
+        MutualDistanceTable(bad)
+    with pytest.raises(ValidationError, match="triangle inequality"):
+        MutualDistanceTable(1e6 * bad)
 
 
 def test_moment_of_inertia_values():
@@ -221,3 +239,99 @@ def test_total_energy():
 def test_ops_reject_length_mismatch():
     with pytest.raises(ValidationError):
         moment_of_inertia(TRIANGLE, M4)
+
+
+# -- pair kernel against the dense n x n formulas it replaced -----------------
+
+def dense_displacements(q):
+    d = q[:, None, :] - q[None, :, :]
+    return d, np.sqrt((d * d).sum(axis=2))
+
+
+def dense_require_separation(r):
+    n = r.shape[0]
+    masked = r + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
+    rmin = float(masked.min())
+    if rmin < 1e-12:
+        i, j = np.unravel_index(int(masked.argmin()), masked.shape)
+        raise CollisionSingularity(f"bodies {i + 1} and {j + 1} separated by {rmin:.3e}")
+
+
+def dense_terms(potential, q, mass, gradient):
+    d, r = dense_displacements(q)
+    if potential.singular:
+        dense_require_separation(r)
+    w = np.outer(mass, mass)
+    safe = np.where(r == 0.0, 1.0, r)
+    if gradient:
+        if potential.kind == "newtonian":
+            coef = w / safe ** 3
+        else:
+            coef = potential.coupling * potential.exponent * w * safe ** (potential.exponent - 2.0)
+        coef = np.where(r == 0.0, 0.0, coef)
+        return (coef[:, :, None] * d).sum(axis=1)
+    if potential.kind == "newtonian":
+        terms = -w / safe
+    else:
+        terms = potential.coupling * w * safe ** potential.exponent
+    return 0.5 * float(np.where(r == 0.0, 0.0, terms).sum())
+
+
+SINGULAR_AND_POWER = [NEWTONIAN, PotentialSpec.power(-2.0, 1.0), PotentialSpec.power(1.5, 1.0)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 30, 100])
+@pytest.mark.parametrize("potential", SINGULAR_AND_POWER, ids=lambda p: f"{p.kind}{p.exponent or ''}")
+def test_pair_kernel_matches_dense_oracle(potential, n, draw_system):
+    for _ in range(5):
+        config, masses = draw_system(n)
+        grad = potential_gradient(potential, config, masses)
+        expected = dense_terms(potential, config.q, masses.m, gradient=True)
+        assert np.linalg.norm(grad - expected) <= 1e-13 * np.linalg.norm(expected)
+        energy = potential_energy(potential, config, masses)
+        assert abs(energy - dense_terms(potential, config.q, masses.m, gradient=False)) \
+            <= 1e-13 * abs(energy)
+
+
+def test_nonsingular_power_passes_through_coincident_pairs():
+    power = PotentialSpec.power(1.5, 1.0)
+    q = np.array([[1.0, 2.0], [-3.0, 0.5], [1.0, 2.0], [0.0, -1.0]])
+    masses = MassVector([1.0, 2.0, 3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = potential_gradient(power, q, masses)
+        energy = potential_energy(power, q, masses)
+        pair = potential_gradient(power, q[[0, 2]], MassVector([1.0, 3.0]))
+    assert np.all(np.isfinite(grad)) and math.isfinite(energy)
+    assert np.all(pair == 0.0)
+    assert np.linalg.norm(grad - dense_terms(power, q, masses.m, gradient=True)) \
+        <= 1e-13 * np.linalg.norm(grad)
+    assert energy == pytest.approx(dense_terms(power, q, masses.m, gradient=False), rel=1e-13)
+
+
+@pytest.mark.parametrize("q", [
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]],          # two exact ties
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 3e-13], [0.0, 3e-13]],      # tied near misses
+    [[0.0, 0.0], [0.0, 5e-13], [3.0, 0.0], [3.0, 2e-13]],      # closest pair comes later
+], ids=["coincident", "tied", "closest-later"])
+def test_collision_names_the_same_pair_as_the_dense_check(q):
+    q = np.array(q)
+    masses = MassVector(np.ones(len(q)))
+    with pytest.raises(CollisionSingularity) as oracle:
+        dense_require_separation(dense_displacements(q)[1])
+    for potential in (NEWTONIAN, PotentialSpec.power(-2.0, 1.0)):
+        for kernel in (potential_gradient, potential_energy):
+            with pytest.raises(CollisionSingularity) as err:
+                kernel(potential, q, masses)
+            assert str(err.value) == str(oracle.value)
+
+
+def test_distance_tables_are_bit_identical_to_the_dense_form(rng):
+    for n in [3, 4, 7, 30, 100, 300]:
+        for scale in [1e-6, 1.0, 1e6]:
+            config = PlanarConfiguration(rng.uniform(-scale, scale, (n, 2)))
+            masses = MassVector(rng.uniform(0.1, 10.0, n))
+            _, r = dense_displacements(config.q)
+            assert np.array_equal(mutual_distances(config).r, r)
+            w = np.outer(masses.m, masses.m)
+            assert moment_of_inertia(config, masses) == float((w * r * r).sum() / (2.0 * masses.total))
