@@ -39,12 +39,12 @@ from .dynamics import (
     IntegratorSpec,
     Trajectory,
     accelerations,
-    closed_form_rhombus,
+    build_theorem2_state,
     energy_drift,
+    harmonic_flow,
     integrate,
     rhombus_masses,
     rhombus_trajectory,
-    rotating_re_solution,
     rotating_re_trajectory,
 )
 from .central_config import (
@@ -66,7 +66,6 @@ from .saari import (
     RigidFitResult,
     RigidityResult,
     SaariReport,
-    build_theorem2_state,
     inertia_variation,
     is_relative_equilibrium,
     rigid_fit,

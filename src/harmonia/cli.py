@@ -16,7 +16,7 @@ Unknown keys are rejected. CSV output carries t, per-body qx/qy/vx/vy
 columns (1-based body labels), then I, U, E, all printed with 17
 significant digits so values round-trip bit exactly.
 
-Exit codes: 0 pass, 1 runtime or validation error, 2 verification failed.
+Exit codes: 0 pass, 1 runtime, validation or usage error, 2 verification failed.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from .core import (
     PhaseState,
     PlanarConfiguration,
     PotentialSpec,
-    kinetic_energy,
+    as_mass_vector,
     moment_of_inertia,
     mutual_distances,
-    potential_energy,
 )
 from .dynamics import (
     RK4,
@@ -111,7 +110,10 @@ def _fmt(value) -> str:
 def _number(value, fieldname: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(fieldname, "expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the double range
+        raise ValidationError(fieldname, "must be finite") from None
     if not math.isfinite(out):
         raise ValidationError(fieldname, "must be finite")
     return out
@@ -184,11 +186,13 @@ def _parse_integrator(doc) -> IntegratorSpec:
 
 def parse_scenario(text) -> Scenario:
     """Parse and validate a scenario document (str or bytes)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # bad syntax, bytes not UTF-8, an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
@@ -254,16 +258,12 @@ def csv_header(n: int) -> str:
 
 def write_trajectory_csv(traj: Trajectory, sink) -> None:
     """Emit the trajectory as CSV with derived I, U, E columns."""
-    sink.write(csv_header(traj.m.n) + "\n")
-    for state in traj.samples:
-        inertia = moment_of_inertia(state.config, traj.m)
-        u = potential_energy(traj.potential, state.config, traj.m)
-        e = kinetic_energy(state, traj.m) + u
-        row = [state.t]
-        for body in range(traj.m.n):
-            row.extend([state.config.q[body, 0], state.config.q[body, 1],
-                        state.v[body, 0], state.v[body, 1]])
-        row.extend([inertia, u, e])
+    n = traj.m.n
+    sink.write(csv_header(n) + "\n")
+    bodies = np.concatenate([traj.q, traj.v], axis=2).reshape(len(traj), 4 * n)
+    table = np.column_stack([traj.times, bodies, traj.inertia, traj.potential_energy,
+                             traj.energy])
+    for row in table.tolist():
         sink.write(",".join(format(x, ".17g") for x in row) + "\n")
 
 
@@ -272,19 +272,19 @@ def read_trajectory_csv(text: str, m, potential: PotentialSpec) -> Trajectory:
     lines = [line for line in text.splitlines() if line]
     if not lines:
         raise ParseError("empty CSV")
-    masses = m if isinstance(m, MassVector) else MassVector(np.asarray(m, dtype=float))
+    masses = as_mass_vector(m)
     if lines[0] != csv_header(masses.n):
         raise ParseError("unexpected CSV header")
-    samples = []
+    width = 4 * masses.n + 4
+    rows = []
     for line in lines[1:]:
         cells = [float(c) for c in line.split(",")]
-        if len(cells) != 4 * masses.n + 4:
+        if len(cells) != width:
             raise ParseError("row width does not match header")
-        t = cells[0]
-        body_cells = np.array(cells[1:1 + 4 * masses.n]).reshape(masses.n, 4)
-        samples.append(PhaseState(PlanarConfiguration(body_cells[:, 0:2]),
-                                  body_cells[:, 2:4], t))
-    return Trajectory(tuple(samples), potential, masses)
+        rows.append(cells)
+    table = np.array(rows, dtype=float).reshape(-1, width)
+    bodies = table[:, 1:width - 3].reshape(-1, masses.n, 4)
+    return Trajectory(table[:, 0], bodies[:, :, 0:2], bodies[:, :, 2:4], potential, masses)
 
 
 def cmd_simulate(scenario: Scenario, sink) -> RunReport:
@@ -296,7 +296,7 @@ def cmd_simulate(scenario: Scenario, sink) -> RunReport:
     write_trajectory_csv(traj, sink)
     report = RunReport("simulate")
     report.measurements["samples"] = len(traj)
-    report.measurements["t_final"] = traj.samples[-1].t
+    report.measurements["t_final"] = float(traj.times[-1])
     report.measurements["energy_drift"] = energy_drift(traj)
     try:
         report.measurements["inertia_variation"] = inertia_variation(traj)
@@ -410,8 +410,16 @@ def cmd_reproduce(which: str) -> RunReport:
     return report
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as ParseError, so it exits 1 like any other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="harmonia",
         description="Planar n-body laboratory: simulate, check central "
                     "configurations, and verify constant-inertia certificates.")
@@ -442,8 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.verb == "simulate":
             scenario = load_scenario(args.file)
             with open(args.out, "w", encoding="utf-8") as sink:

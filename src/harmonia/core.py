@@ -313,9 +313,13 @@ def moment_of_inertia(config, m) -> float:
     config = as_configuration(config)
     m = as_mass_vector(m)
     _check_pairing(config, m)
-    r = _distance_matrix(config.q)
-    w = m.m[:, None] * m.m[None, :]
-    return float((w * r * r).sum() / (2.0 * m.total))
+    return _inertia(config.q, m.m)
+
+
+def _inertia(q: np.ndarray, mass: np.ndarray) -> float:
+    r = _distance_matrix(q)
+    w = mass[:, None] * mass[None, :]
+    return float((w * r * r).sum() / (2.0 * float(mass.sum())))
 
 
 def moment_of_inertia_cartesian(config, m) -> float:
@@ -335,10 +339,14 @@ def potential_energy(potential: PotentialSpec, config, m) -> float:
     config = as_configuration(config)
     m = as_mass_vector(m)
     _check_pairing(config, m)
+    return _potential(potential, config.q, m.m)
+
+
+def _potential(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> float:
     if potential.kind == HARMONIC:
-        return 0.5 * m.total * moment_of_inertia(config, m)
-    i, j, _, _, r = _pair_separations(potential, config.q)
-    w = m.m[i] * m.m[j]
+        return 0.5 * float(mass.sum()) * _inertia(q, mass)
+    i, j, _, _, r = _pair_separations(potential, q)
+    w = mass[i] * mass[j]
     if potential.kind == NEWTONIAN:
         return -float((w / r).sum())
     # r ** alpha is 0 at a coincident pair when alpha > 0

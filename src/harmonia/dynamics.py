@@ -1,14 +1,19 @@
-"""Equations of motion, fixed-step integrators, and closed-form flows.
+"""Equations of motion, fixed-step integrators, and the exact harmonic flow.
 
 Two integrators are provided: velocity_verlet (symplectic, time reversible)
-and rk4 (classical fourth order). Collisions of the harmonic flow are not
-singular; bodies pass through each other.
+and rk4 (classical fourth order). The harmonic equations of motion are
+linear, so ``harmonic_flow`` solves them exactly for any initial state; the
+rhombus counterexample and the rigidly rotating control are two of its
+solutions. Collisions of the harmonic flow are not singular; bodies pass
+through each other. Every solution is returned as a ``Trajectory``, one
+set of arrays over the retained samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,14 +21,14 @@ from .core import (
     HARMONIC,
     MassVector,
     PhaseState,
-    PlanarConfiguration,
     PotentialSpec,
+    _frozen,
     _gradient_rows,
+    _inertia,
+    _potential,
     as_configuration,
     as_mass_vector,
     center_of_mass,
-    rotation,
-    total_energy,
 )
 from .errors import CMNotAtOrigin, NonFiniteState, ValidationError
 
@@ -61,47 +66,62 @@ class IntegratorSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered phase-space samples of one solution."""
+    """Time-ordered phase-space samples of one solution, held as arrays.
 
-    samples: tuple
+    ``times`` has shape (S,), positions ``q`` and velocities ``v`` have
+    shape (S, n, 2). All are checked once, here: matching shapes, finite
+    values and strictly increasing times. The invariant series ``inertia``,
+    ``potential_energy`` and ``energy`` are computed on first use and then
+    shared by every consumer of the trajectory.
+    """
+
+    times: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
     potential: PotentialSpec
     m: MassVector
 
     def __post_init__(self) -> None:
-        samples = tuple(self.samples)
-        if not samples:
-            raise ValidationError("samples", "trajectory must be nonempty")
         m = as_mass_vector(self.m)
-        for s in samples:
-            if not isinstance(s, PhaseState):
-                raise ValidationError("samples", "entries must be PhaseState values")
-            if s.n != m.n:
-                raise ValidationError("samples", "body count must match masses")
-        times = np.array([s.t for s in samples])
-        if len(times) > 1 and not np.all(np.diff(times) > 0.0):
-            raise ValidationError("samples", "times must be strictly increasing")
-        object.__setattr__(self, "samples", samples)
+        times = np.array(self.times, dtype=float)
+        q = np.array(self.q, dtype=float)
+        v = np.array(self.v, dtype=float)
+        if times.ndim != 1 or times.size == 0:
+            raise ValidationError("times", "trajectory must be a nonempty sequence of times")
+        for name, values in (("q", q), ("v", v)):
+            if values.shape != (times.size, m.n, 2):
+                raise ValidationError(name, f"expected shape ({times.size}, {m.n}, 2)")
+        for name, values in (("times", times), ("q", q), ("v", v)):
+            if not np.isfinite(values).all():
+                raise ValidationError(name, "samples must be finite")
+            object.__setattr__(self, name, _frozen(values))
+        if not np.all(np.diff(times) > 0.0):
+            raise ValidationError("times", "times must be strictly increasing")
         object.__setattr__(self, "m", m)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return int(self.times.size)
 
-    def __iter__(self):
-        return iter(self.samples)
+    # the rows were checked above, so the series call core's unchecked kernels
+    @cached_property
+    def inertia(self) -> np.ndarray:
+        """Canonical moment of inertia at every sample, shape (S,)."""
+        return _frozen(np.array([_inertia(q, self.m.m) for q in self.q]))
 
-    def __getitem__(self, i):
-        return self.samples[i]
+    @cached_property
+    def potential_energy(self) -> np.ndarray:
+        """Potential energy at every sample, shape (S,)."""
+        if self.potential.kind == HARMONIC:
+            # U = (M/2) I, from the inertia series rather than a second pass
+            return _frozen(0.5 * self.m.total * self.inertia)
+        return _frozen(np.array([_potential(self.potential, q, self.m.m) for q in self.q]))
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def positions(self) -> np.ndarray:
-        """Stacked positions, shape (n_samples, n, 2)."""
-        return np.array([s.config.q for s in self.samples])
-
-    def velocities(self) -> np.ndarray:
-        return np.array([s.v for s in self.samples])
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """Total energy T + U at every sample, shape (S,)."""
+        # one dot product per sample: a batched (S, n) @ m rounds differently
+        kinetic = 0.5 * np.array([self.m.m @ vv for vv in (self.v * self.v).sum(axis=2)])
+        return _frozen(kinetic + self.potential_energy)
 
 
 def accelerations(potential: PotentialSpec, config, m) -> np.ndarray:
@@ -187,58 +207,81 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
                 if i % stride == 0 or i == n_steps:
                     kept.append((i, q.copy(), v.copy()))
 
-    samples = tuple(
-        PhaseState(PlanarConfiguration(qq), vv, t0 + i * dt) for i, qq, vv in kept)
-    return Trajectory(samples, potential, m)
+    steps, qs, vs = zip(*kept)
+    return Trajectory(t0 + np.array(steps) * dt, np.stack(qs), np.stack(vs), potential, m)
 
 
 def energy_drift(traj: Trajectory) -> float:
     """Worst relative excursion of the total energy along the trajectory."""
-    values = [total_energy(traj.potential, s, traj.m) for s in traj.samples]
-    h0 = values[0]
-    scale = max(1.0, abs(h0))
-    return max(abs(h - h0) for h in values) / scale
+    h0 = float(traj.energy[0])
+    return float(np.abs(traj.energy - h0).max()) / max(1.0, abs(h0))
+
+
+def harmonic_flow(state0: PhaseState, m, times) -> Trajectory:
+    """Exact solution of the harmonic equations of motion from ``state0``.
+
+    Under U = (M/2) I every body obeys q''_i = -M (q_i - q_cm), so the
+    center of mass drifts uniformly while each offset from it oscillates
+    at the angular frequency w = sqrt(M). With tau = t - state0.t,
+
+        q_i(tau) = q_cm + v_cm tau + dq_i cos(w tau) + dv_i sin(w tau) / w
+        v_i(tau) = v_cm - w dq_i sin(w tau) + dv_i cos(w tau)
+
+    where dq_i and dv_i are body i's initial offsets from the center of mass.
+    """
+    m = as_mass_vector(m)
+    if not isinstance(state0, PhaseState):
+        raise ValidationError("state0", "expected a PhaseState")
+    if state0.n != m.n:
+        raise ValidationError("state0", "body count must match masses")
+    times = np.array(times, dtype=float, ndmin=1)
+    omega = math.sqrt(m.total)
+    q_cm = (m.m @ state0.config.q) / m.total
+    v_cm = (m.m @ state0.v) / m.total
+    dq = state0.config.q - q_cm
+    dv = state0.v - v_cm
+    tau = (times - state0.t)[:, None, None]
+    c = np.cos(omega * tau)
+    s = np.sin(omega * tau)
+    q = q_cm + v_cm * tau + dq * c + dv * s / omega
+    v = v_cm - omega * dq * s + dv * c
+    return Trajectory(times, q, v, PotentialSpec.harmonic(), m)
 
 
 def rhombus_masses() -> MassVector:
     return MassVector(np.ones(4))
 
 
-def closed_form_rhombus(k: float, t: float) -> PhaseState:
-    """Exact rhombus solution of the four-body harmonic problem at time t.
+def build_theorem2_state(k: float) -> PhaseState:
+    """Initial state of the constant-inertia rhombus counterexample.
 
-    Bodies 1 and 4 sit on the y axis at +/- y1, bodies 2 and 3 on the x
-    axis at -/+ x3, with y1 = sqrt(k/2) cos(2t) and x3 = sqrt(k/2) sin(2t).
-    The moment of inertia equals k for every t while the shape breathes
-    between the two degenerate segments, so the motion is a genuine
-    solution with constant inertia that never rotates rigidly.
+    Bodies 1 and 4 start at (0, +/- sqrt(k/2)) at rest; bodies 2 and 3
+    start coincident at the origin moving horizontally at -/+ sqrt(2k).
+    The flow then keeps bodies 1 and 4 at (0, +/- y1) and bodies 2 and 3
+    at (-/+ x3, 0), with y1 = sqrt(k/2) cos(2t) and x3 = sqrt(k/2) sin(2t):
+    I = k for every t while the shape breathes between two degenerate
+    segments, so the solution has constant inertia yet never rotates rigidly.
     """
     if not np.isfinite(k) or k <= 0.0:
         raise ValidationError("k", "must be positive")
     amp = math.sqrt(k / 2.0)
-    c = math.cos(2.0 * t)
-    s = math.sin(2.0 * t)
-    y1 = amp * c
-    x3 = amp * s
-    vy1 = -2.0 * amp * s
-    vx3 = 2.0 * amp * c
-    q = np.array([[0.0, y1], [-x3, 0.0], [x3, 0.0], [0.0, -y1]])
-    v = np.array([[0.0, vy1], [-vx3, 0.0], [vx3, 0.0], [0.0, -vy1]])
-    return PhaseState(PlanarConfiguration(q), v, float(t))
+    q = np.array([[0.0, amp], [0.0, 0.0], [0.0, 0.0], [0.0, -amp]])
+    v = np.array([[0.0, 0.0], [-2.0 * amp, 0.0], [2.0 * amp, 0.0], [0.0, 0.0]])
+    return PhaseState(q, v)
 
 
 def rhombus_trajectory(k: float, times) -> Trajectory:
-    """Closed-form rhombus solution sampled at the given times."""
-    samples = tuple(closed_form_rhombus(k, float(t)) for t in np.asarray(times, dtype=float))
-    return Trajectory(samples, PotentialSpec.harmonic(), rhombus_masses())
+    """The rhombus counterexample sampled at the given times."""
+    return harmonic_flow(build_theorem2_state(k), rhombus_masses(), times)
 
 
-def rotating_re_solution(config0, m, t: float) -> PhaseState:
-    """Rigidly rotating harmonic solution through ``config0`` at time t.
+def rotating_re_trajectory(config0, m, times) -> Trajectory:
+    """Rigidly rotating harmonic solution through ``config0``, sampled at the given times.
 
     With the center of mass at the origin every body obeys
-    q''_i = -M q_i, so q_i(t) = R(sqrt(M) t) q_i(0) solves the equations
-    of motion exactly while all mutual distances stay fixed: the canonical
+    q''_i = -M q_i, so starting each body with the tangential velocity
+    sqrt(M) J q_i(0), J the quarter turn, gives q_i(t) = R(sqrt(M) t) q_i(0):
+    an exact solution whose mutual distances stay fixed, the canonical
     positive control for relative-equilibrium detection.
     """
     config0 = as_configuration(config0)
@@ -246,18 +289,6 @@ def rotating_re_solution(config0, m, t: float) -> PhaseState:
     qcm = center_of_mass(config0, m)
     if float(np.hypot(*qcm)) > 1e-12:
         raise CMNotAtOrigin(f"|q_cm| = {float(np.hypot(*qcm)):.3e} exceeds 1e-12")
-    omega = math.sqrt(m.total)
-    rot = rotation(omega * t)
-    q = config0.q @ rot.T
-    # velocity is omega * J q with J the quarter-turn generator
-    v = omega * np.column_stack([-q[:, 1], q[:, 0]])
-    return PhaseState(PlanarConfiguration(q), v, float(t))
-
-
-def rotating_re_trajectory(config0, m, times) -> Trajectory:
-    """Rigidly rotating solution sampled at the given times."""
-    config0 = as_configuration(config0)
-    m = as_mass_vector(m)
-    samples = tuple(rotating_re_solution(config0, m, float(t))
-                    for t in np.asarray(times, dtype=float))
-    return Trajectory(samples, PotentialSpec.harmonic(), m)
+    q0 = config0.q
+    v0 = math.sqrt(m.total) * np.column_stack([-q0[:, 1], q0[:, 0]])
+    return harmonic_flow(PhaseState(config0, v0), m, times)

@@ -15,7 +15,7 @@ class ValidationError(HarmoniaError):
 
 
 class ParseError(HarmoniaError):
-    """Input document could not be parsed at all."""
+    """Input (a scenario document or the command line) could not be parsed at all."""
 
 
 class CollisionSingularity(HarmoniaError):

@@ -6,6 +6,10 @@ fits the best orthogonal map about the origin (both determinant branches)
 in the mass-weighted least-squares sense; its residual is the rigidity
 defect. A trajectory with constant moment of inertia but positive defect
 certifies that constant inertia does not force rigid rotation.
+
+Trajectories are read as arrays: the inertia series is the one the
+trajectory computes once, rigid fits run sample by sample against the
+first sample, and pair distances are swept over all samples at once.
 """
 
 from __future__ import annotations
@@ -16,20 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MassVector,
-    PhaseState,
     PlanarConfiguration,
     PotentialSpec,
     as_configuration,
     as_mass_vector,
-    moment_of_inertia,
     rotation,
 )
 from .dynamics import (
     IntegratorSpec,
     Trajectory,
     accelerations,
-    closed_form_rhombus,
+    build_theorem2_state,
     integrate,
     rhombus_masses,
     rhombus_trajectory,
@@ -153,13 +154,9 @@ def rigid_fit(config, ref, m, allow_reflection: bool = True) -> RigidFitResult:
     return RigidFitResult(omega, residual, sign)
 
 
-def _inertia_series(traj: Trajectory) -> np.ndarray:
-    return np.array([moment_of_inertia(s.config, traj.m) for s in traj.samples])
-
-
 def inertia_variation(traj: Trajectory) -> float:
     """Worst relative excursion of the moment of inertia along the trajectory."""
-    series = _inertia_series(traj)
+    series = traj.inertia
     i0 = float(series[0])
     if i0 <= 0.0:
         raise ZeroInertia("moment of inertia vanishes at the first sample")
@@ -167,19 +164,16 @@ def inertia_variation(traj: Trajectory) -> float:
 
 
 def _pair_distance_variations(traj: Trajectory):
-    pos = traj.positions()
+    """Largest swing of a pair distance, its 1-based pair, and the (S, n, n) distances."""
+    pos = traj.q
     diff = pos[:, :, None, :] - pos[:, None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=3))
-    spread = dist.max(axis=0) - dist.min(axis=0)
-    n = pos.shape[1]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    variations = {p: float(spread[p]) for p in pairs}
-    worst = max(variations.values())
+    i, j = np.triu_indices(pos.shape[1], 1)
+    spread = (dist.max(axis=0) - dist.min(axis=0))[i, j]
+    worst = float(spread.max())
     # deterministic certificate: among near-ties take the first pair by label
-    candidates = [p for p in pairs
-                  if variations[p] >= worst - _PAIR_TIE_TOL * max(1.0, worst)]
-    worst_pair = min(candidates)
-    return variations, worst, worst_pair, dist
+    first = int(np.argmax(spread >= worst - _PAIR_TIE_TOL * max(1.0, worst)))
+    return worst, (int(i[first]) + 1, int(j[first]) + 1), dist
 
 
 def is_relative_equilibrium(traj: Trajectory, tol: float = 1e-6) -> RigidityResult:
@@ -189,24 +183,19 @@ def is_relative_equilibrium(traj: Trajectory, tol: float = 1e-6) -> RigidityResu
     the first sample stays below tol * sqrt(I(t0)). Also reports the cheap
     necessary condition: the largest swing of any pair distance.
     """
-    ref = traj.samples[0].config
-    i0 = moment_of_inertia(ref, traj.m)
-    threshold = float(tol) * math.sqrt(i0)
-    defect = 0.0
-    worst_time = traj.samples[0].t
-    for s in traj.samples:
-        res = rigid_fit(s.config, ref, traj.m).residual
-        if res > defect:
-            defect = res
-            worst_time = s.t
-    _, worst_var, worst_pair, _ = _pair_distance_variations(traj)
+    ref = PlanarConfiguration(traj.q[0])
+    threshold = float(tol) * math.sqrt(float(traj.inertia[0]))
+    residuals = np.array([rigid_fit(q, ref, traj.m).residual for q in traj.q])
+    worst = int(residuals.argmax())
+    defect = float(residuals[worst])
+    worst_var, worst_pair, _ = _pair_distance_variations(traj)
     return RigidityResult(
         is_re=defect <= threshold,
         defect=defect,
         threshold=threshold,
-        worst_time=float(worst_time),
+        worst_time=float(traj.times[worst]),
         max_pair_variation=worst_var,
-        worst_pair=(worst_pair[0] + 1, worst_pair[1] + 1),
+        worst_pair=worst_pair,
     )
 
 
@@ -236,16 +225,6 @@ def saari_check(traj: Trajectory, tol_inertia: float = 1e-8,
         tol_inertia=float(tol_inertia),
         tol_rigidity=float(tol_rigidity),
     )
-
-
-def build_theorem2_state(k: float) -> PhaseState:
-    """Initial state of the constant-inertia rhombus counterexample.
-
-    Bodies 1 and 4 start at (0, +/- sqrt(k/2)) at rest in their
-    coordinates; bodies 2 and 3 start coincident at the origin moving
-    horizontally at -/+ sqrt(2k).
-    """
-    return closed_form_rhombus(k, 0.0)
 
 
 def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
@@ -279,17 +258,16 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
     times = np.linspace(0.0, t_end, 1001)
     closed = rhombus_trajectory(k, times)
 
-    # (a) equations of motion along the closed form
+    # (a) equations of motion along the closed form, against its second
+    # derivative written out: y1'' = -4 amp cos(2t), x3'' = -4 amp sin(2t)
     amp = math.sqrt(k / 2.0)
-    eom_err = 0.0
-    for state in closed.samples:
-        c = math.cos(2.0 * state.t)
-        s = math.sin(2.0 * state.t)
-        ddy1 = -4.0 * amp * c
-        ddx3 = -4.0 * amp * s
-        analytic = np.array([[0.0, ddy1], [-ddx3, 0.0], [ddx3, 0.0], [0.0, -ddy1]])
-        numeric = accelerations(harmonic, state.config, masses)
-        eom_err = max(eom_err, float(np.abs(numeric - analytic).max()))
+    ddy1 = -4.0 * amp * np.cos(2.0 * times)
+    ddx3 = -4.0 * amp * np.sin(2.0 * times)
+    analytic = np.zeros((times.size, 4, 2))
+    analytic[:, 0, 1], analytic[:, 3, 1] = ddy1, -ddy1
+    analytic[:, 1, 0], analytic[:, 2, 0] = -ddx3, ddx3
+    numeric = np.array([accelerations(harmonic, q, masses) for q in closed.q])
+    eom_err = float(np.abs(numeric - analytic).max())
 
     # (b) inertia constancy, closed form and integrated flow
     ivar_closed = inertia_variation(closed)
@@ -300,15 +278,13 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
     # (c) rigidity defect, with the witness near t = pi/4
     rigidity = is_relative_equilibrium(closed, tol=1e-6)
     witness_idx = int(np.argmin(np.abs(times - math.pi / 4.0)))
-    witness_defect = rigid_fit(closed.samples[witness_idx].config,
-                               closed.samples[0].config, masses).residual
+    witness_defect = rigid_fit(closed.q[witness_idx], closed.q[0], masses).residual
 
-    pos = closed.positions()
+    pos = closed.q
     r14_sq = ((pos[:, 0, :] - pos[:, 3, :]) ** 2).sum(axis=1)
     swing = float(r14_sq.max() - r14_sq.min())
 
-    diff = pos[:, :, None, :] - pos[:, None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=3))
+    _, _, dist = _pair_distance_variations(closed)
     collision_pairs = []
     for i in range(4):
         for j in range(i + 1, 4):

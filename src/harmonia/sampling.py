@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .core import MassVector, PlanarConfiguration
+from .core import MassVector, PlanarConfiguration, _pair_indices
 from .errors import ValidationError
 
 SEED_ENV_VAR = "HARMONIA_SEED"
@@ -42,8 +42,9 @@ def random_configuration(rng: np.random.Generator, n: int, box: float = 10.0,
         q = rng.uniform(-box, box, size=(n, 2))
         if min_separation <= 0.0:
             break
-        d = q[:, None, :] - q[None, :, :]
-        r = np.sqrt((d * d).sum(axis=2)) + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-        if float(r.min()) > min_separation:
+        i, j = _pair_indices(n)
+        dx = q[i, 0] - q[j, 0]
+        dy = q[i, 1] - q[j, 1]
+        if float(np.sqrt(dx * dx + dy * dy).min(initial=np.inf)) > min_separation:
             break
     return PlanarConfiguration(q)

@@ -166,12 +166,29 @@ def test_csv_round_trip():
     text = sink.getvalue()
     traj = read_trajectory_csv(text, scenario.masses, scenario.potential)
     # recomputed I, U, E columns must match the printed ones bit exactly
-    from harmonia import moment_of_inertia, potential_energy, total_energy
-    for line, state in zip(text.splitlines()[1:], traj.samples):
+    from harmonia import PhaseState, moment_of_inertia, potential_energy, total_energy
+    for line, t, q, v in zip(text.splitlines()[1:], traj.times, traj.q, traj.v):
+        state = PhaseState(q, v, t)
         cells = line.split(",")
         assert float(cells[-3]) == moment_of_inertia(state.config, traj.m)
         assert float(cells[-2]) == potential_energy(traj.potential, state.config, traj.m)
         assert float(cells[-1]) == total_energy(traj.potential, state, traj.m)
+
+
+def test_simulate_evaluates_inertia_once_per_sample(monkeypatch):
+    # the CSV columns, energy_drift and inertia_variation share one I series
+    from harmonia import core, dynamics
+    original = core._inertia
+    calls = []
+
+    def counting(q, mass):
+        calls.append(1)
+        return original(q, mass)
+
+    for module in (core, dynamics):
+        monkeypatch.setattr(module, "_inertia", counting)
+    report = cmd_simulate(parse_scenario(scenario_text(THEOREM2)), io.StringIO())
+    assert len(calls) == report.measurements["samples"] == 630
 
 
 def test_simulate_deterministic(tmp_path, capsys):
@@ -260,3 +277,36 @@ def test_missing_file_is_runtime_error(capsys):
     code = main(["cc-check", "/nonexistent/path.json"])
     assert code == EXIT_ERROR
     assert "error:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("payload, expected", [
+    (b'{"masses": [1' + b"0" * 400 + b', 1.0], "positions": [[0, 0], [1, 0]]}',
+     "error: masses[0]: must be finite"),
+    (json.dumps(MINIMAL).encode() + b"\xff\xfe", "error: invalid JSON: 'utf-8' codec"),
+    (b"[" * 100000 + b"]" * 100000, "error: invalid JSON"),
+    (b'{"masses": [1' + b"0" * 5000 + b', 1.0]}', "error: invalid JSON"),
+], ids=["huge-integer", "non-utf8", "deep-nesting", "integer-past-digit-limit"])
+def test_unparsable_scenarios_are_contract_errors(tmp_path, capsys, payload, expected):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(payload)
+    code = main(["cc-check", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out.startswith(expected)
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv", [["bogus-verb"], ["family", "--k", "1", "--samples", "x"],
+                                  ["simulate", "scenario.json"]])
+def test_usage_errors_exit_1(capsys, argv):
+    assert main(argv) == EXIT_ERROR
+    out = capsys.readouterr().out
+    assert out.startswith("error: harmonia")
+    assert len(out.splitlines()) == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "usage: harmonia" in capsys.readouterr().out

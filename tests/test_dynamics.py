@@ -1,4 +1,4 @@
-"""Integrators, conserved-quantity monitors, and closed-form solutions."""
+"""Integrators, conserved-quantity monitors, and the exact harmonic flow."""
 
 import math
 
@@ -16,22 +16,39 @@ from harmonia import (
     Trajectory,
     ValidationError,
     accelerations,
-    closed_form_rhombus,
+    build_theorem2_state,
     energy_drift,
+    harmonic_flow,
     integrate,
-    moment_of_inertia,
     potential_energy,
-    potential_gradient,
     rhombus_masses,
     rhombus_trajectory,
-    rotating_re_solution,
     rotating_re_trajectory,
+    rotation,
 )
 from conftest import central_difference_gradient, equilateral
 
 HARMONIC = PotentialSpec.harmonic()
 M4 = rhombus_masses()
 RHOMBUS = PlanarConfiguration([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]])
+CENTERED_TRIANGLE = PlanarConfiguration(
+    [[0.0, 1.0], [-math.sqrt(3.0) / 2.0, -0.5], [math.sqrt(3.0) / 2.0, -0.5]])
+M3 = MassVector([1.0, 1.0, 1.0])
+
+
+def rhombus_closed_form(k, times):
+    """Reference formula for the rhombus: bodies 1 and 4 at (0, +/- y1), 2 and 3 at
+    (-/+ x3, 0), with y1 = sqrt(k/2) cos(2t) and x3 = sqrt(k/2) sin(2t)."""
+    amp = math.sqrt(k / 2.0)
+    qs, vs = [], []
+    for t in times:
+        c = math.cos(2.0 * float(t))
+        s = math.sin(2.0 * float(t))
+        y1, x3 = amp * c, amp * s
+        vy1, vx3 = -2.0 * amp * s, 2.0 * amp * c
+        qs.append([[0.0, y1], [-x3, 0.0], [x3, 0.0], [0.0, -y1]])
+        vs.append([[0.0, vy1], [-vx3, 0.0], [vx3, 0.0], [0.0, -vy1]])
+    return np.array(qs), np.array(vs)
 
 
 def test_accelerations_rhombus():
@@ -77,30 +94,23 @@ def test_two_body_matches_closed_form():
     masses = MassVector([1.0, 1.0])
     state = PhaseState(config, np.zeros((2, 2)))
     traj = integrate(state, IntegratorSpec("rk4", 1e-3, 2.0 * math.pi), HARMONIC, masses)
-    worst = 0.0
-    for s in traj.samples:
-        expected = config.q * math.cos(math.sqrt(2.0) * s.t)
-        worst = max(worst, float(np.abs(s.config.q - expected).max()))
-    assert worst <= 1e-8
+    expected = config.q * np.cos(math.sqrt(2.0) * traj.times)[:, None, None]
+    assert float(np.abs(traj.q - expected).max()) <= 1e-8
 
 
 def test_rk4_matches_rhombus_closed_form():
-    state = closed_form_rhombus(1.0, 0.0)
-    traj = integrate(state, IntegratorSpec("rk4", 1e-3, 2.0 * math.pi), HARMONIC, M4)
-    worst = 0.0
-    for s in traj.samples:
-        expected = closed_form_rhombus(1.0, s.t).config.q
-        worst = max(worst, float(np.abs(s.config.q - expected).max()))
-    assert worst <= 1e-6
+    traj = integrate(build_theorem2_state(1.0), IntegratorSpec("rk4", 1e-3, 2.0 * math.pi),
+                     HARMONIC, M4)
+    expected, _ = rhombus_closed_form(1.0, traj.times)
+    assert float(np.abs(traj.q - expected).max()) <= 1e-6
 
 
 def test_integration_passes_through_collisions():
     # bodies coincide at t = pi/4 and pi/2; the harmonic flow is smooth there
-    state = closed_form_rhombus(1.0, 0.0)
-    traj = integrate(state, IntegratorSpec("rk4", 1e-3, 0.5 * math.pi + 0.1), HARMONIC, M4)
-    for s in traj.samples:
-        expected = closed_form_rhombus(1.0, s.t).config.q
-        assert np.abs(s.config.q - expected).max() <= 1e-6
+    traj = integrate(build_theorem2_state(1.0),
+                     IntegratorSpec("rk4", 1e-3, 0.5 * math.pi + 0.1), HARMONIC, M4)
+    expected, _ = rhombus_closed_form(1.0, traj.times)
+    assert float(np.abs(traj.q - expected).max()) <= 1e-6
 
 
 def test_nonfinite_state_detected():
@@ -120,123 +130,170 @@ def test_energy_drift_on_exact_trajectory():
 
 
 def test_energy_drift_single_sample():
-    traj = Trajectory((closed_form_rhombus(1.0, 0.0),), HARMONIC, M4)
+    traj = rhombus_trajectory(1.0, [0.0])
     assert energy_drift(traj) == 0.0
 
 
 def test_verlet_drift_bounded():
-    state = closed_form_rhombus(1.0, 0.0)
-    traj = integrate(state, IntegratorSpec("velocity_verlet", 1e-3, 2.0 * math.pi),
-                     HARMONIC, M4)
+    traj = integrate(build_theorem2_state(1.0),
+                     IntegratorSpec("velocity_verlet", 1e-3, 2.0 * math.pi), HARMONIC, M4)
     assert energy_drift(traj) < 1e-6
 
 
 def test_rk4_drift_bounded():
-    state = closed_form_rhombus(1.0, 0.0)
-    traj = integrate(state, IntegratorSpec("rk4", 1e-3, 2.0 * math.pi), HARMONIC, M4)
+    traj = integrate(build_theorem2_state(1.0), IntegratorSpec("rk4", 1e-3, 2.0 * math.pi),
+                     HARMONIC, M4)
     assert energy_drift(traj) < 1e-8
 
 
 def test_verlet_time_reversible():
-    state = closed_form_rhombus(1.0, 0.0)
+    state = build_theorem2_state(1.0)
     spec = IntegratorSpec("velocity_verlet", 1e-3, 10.0, sample_stride=10 ** 6)
     forward = integrate(state, spec, HARMONIC, M4)
-    turn = forward.samples[-1]
-    back = integrate(PhaseState(turn.config, -turn.v, 0.0), spec, HARMONIC, M4)
-    assert np.abs(back.samples[-1].config.q - state.config.q).max() <= 1e-9
+    back = integrate(PhaseState(forward.q[-1], -forward.v[-1], 0.0), spec, HARMONIC, M4)
+    assert np.abs(back.q[-1] - state.config.q).max() <= 1e-9
 
 
 def test_closed_form_rhombus_values():
-    s0 = closed_form_rhombus(1.0, 0.0)
+    traj = rhombus_trajectory(1.0, [0.0, math.pi / 4.0])
     amp = math.sqrt(0.5)
-    assert s0.config.q == pytest.approx(
+    assert traj.q[0] == pytest.approx(
         np.array([[0.0, amp], [0.0, 0.0], [0.0, 0.0], [0.0, -amp]]), abs=1e-15)
-    assert s0.v[2] == pytest.approx([math.sqrt(2.0), 0.0], abs=1e-15)
-    quarter = closed_form_rhombus(1.0, math.pi / 4.0)
-    assert quarter.config.q[0] == pytest.approx([0.0, 0.0], abs=1e-12)
-    assert quarter.config.q[3] == pytest.approx([0.0, 0.0], abs=1e-12)
-    assert quarter.config.q[2] == pytest.approx([amp, 0.0], abs=1e-12)
+    assert traj.v[0][2] == pytest.approx([math.sqrt(2.0), 0.0], abs=1e-15)
+    quarter = traj.q[1]
+    assert quarter[0] == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert quarter[3] == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert quarter[2] == pytest.approx([amp, 0.0], abs=1e-12)
 
 
 def test_closed_form_inertia_constant():
-    for t in (0.0, 0.3, 1.7):
-        state = closed_form_rhombus(1.0, t)
-        assert moment_of_inertia(state.config, M4) == pytest.approx(1.0, rel=1e-12)
+    assert rhombus_trajectory(1.0, [0.0, 0.3, 1.7]).inertia == pytest.approx(
+        np.ones(3), rel=1e-12)
     times = np.linspace(0.0, 2.0 * math.pi, 10 ** 4)
-    for t in times:
-        state = closed_form_rhombus(5.0, float(t))
-        assert abs(moment_of_inertia(state.config, M4) - 5.0) <= 1e-12 * 5.0
+    inertia = rhombus_trajectory(5.0, times).inertia
+    assert float(np.abs(inertia - 5.0).max()) <= 1e-12 * 5.0
 
 
 def test_closed_form_satisfies_equations_of_motion():
     amp = math.sqrt(0.5)
-    for t in np.linspace(0.0, 2.0 * math.pi, 101):
-        state = closed_form_rhombus(1.0, float(t))
-        acc = accelerations(HARMONIC, state.config, M4)
+    traj = rhombus_trajectory(1.0, np.linspace(0.0, 2.0 * math.pi, 101))
+    for t, q in zip(traj.times, traj.q):
+        acc = accelerations(HARMONIC, q, M4)
         assert acc[0][1] == pytest.approx(-4.0 * amp * math.cos(2.0 * t), abs=1e-12)
         assert acc[2][0] == pytest.approx(-4.0 * amp * math.sin(2.0 * t), abs=1e-12)
 
 
 def test_closed_form_rejects_bad_k():
-    with pytest.raises(ValidationError):
-        closed_form_rhombus(0.0, 1.0)
+    for k in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError):
+            rhombus_trajectory(k, [1.0])
+
+
+@pytest.mark.parametrize("k", [0.1, 1.0, 3.7, 10.0])
+def test_harmonic_flow_reproduces_rhombus_formula(k):
+    times = np.linspace(0.0, 2.0 * math.pi, 1001)
+    traj = harmonic_flow(build_theorem2_state(k), M4, times)
+    q, v = rhombus_closed_form(k, times)
+    assert np.array_equal(traj.q, q)
+    assert np.array_equal(traj.v, v)
 
 
 def test_rotating_solution_identity_at_t0():
     tri = equilateral()
     masses = MassVector([1.0, 1.0, 1.0])
     centered = tri.translated(-np.array([0.5, math.sqrt(3.0) / 6.0]))
-    state = rotating_re_solution(centered, masses, 0.0)
-    assert state.config.q == pytest.approx(centered.q, abs=1e-15)
+    traj = rotating_re_trajectory(centered, masses, [0.0])
+    assert traj.q[0] == pytest.approx(centered.q, abs=1e-15)
     # tangential velocities: v is perpendicular to q with speed sqrt(M) |q|
-    dots = (state.v * state.config.q).sum(axis=1)
+    dots = (traj.v[0] * traj.q[0]).sum(axis=1)
     assert dots == pytest.approx(np.zeros(3), abs=1e-12)
 
 
 def test_rotating_solution_full_period():
-    tri = PlanarConfiguration(
-        [[0.0, 1.0], [-math.sqrt(3.0) / 2.0, -0.5], [math.sqrt(3.0) / 2.0, -0.5]])
-    masses = MassVector([1.0, 1.0, 1.0])
-    state = rotating_re_solution(tri, masses, 2.0 * math.pi / math.sqrt(3.0))
-    assert state.config.q == pytest.approx(tri.q, abs=1e-12)
+    traj = rotating_re_trajectory(CENTERED_TRIANGLE, M3, [0.0, 2.0 * math.pi / math.sqrt(3.0)])
+    assert traj.q[-1] == pytest.approx(CENTERED_TRIANGLE.q, abs=1e-12)
 
 
 def test_rotating_solution_requires_centered_cm():
     with pytest.raises(CMNotAtOrigin):
-        rotating_re_solution(equilateral(), MassVector([1.0, 1.0, 1.0]), 0.1)
+        rotating_re_trajectory(equilateral(), MassVector([1.0, 1.0, 1.0]), [0.1])
+
+
+def test_rotating_control_matches_rotation_formula():
+    times = np.linspace(0.0, 2.0 * math.pi / math.sqrt(3.0), 1001)
+    traj = rotating_re_trajectory(CENTERED_TRIANGLE, M3, times)
+    expected = np.array([CENTERED_TRIANGLE.q @ rotation(math.sqrt(3.0) * t).T for t in times])
+    assert float(np.abs(traj.q - expected).max()) <= 1e-15
 
 
 def test_rotating_solution_matches_integration():
-    tri = PlanarConfiguration(
-        [[0.0, 1.0], [-math.sqrt(3.0) / 2.0, -0.5], [math.sqrt(3.0) / 2.0, -0.5]])
-    masses = MassVector([1.0, 1.0, 1.0])
     period = 2.0 * math.pi / math.sqrt(3.0)
-    traj = integrate(rotating_re_solution(tri, masses, 0.0),
-                     IntegratorSpec("rk4", 1e-3, period), HARMONIC, masses)
-    worst = 0.0
-    for s in traj.samples:
-        expected = rotating_re_solution(tri, masses, s.t).config.q
-        worst = max(worst, float(np.abs(s.config.q - expected).max()))
-    assert worst <= 1e-8
+    start = rotating_re_trajectory(CENTERED_TRIANGLE, M3, [0.0])
+    traj = integrate(PhaseState(start.q[0], start.v[0]),
+                     IntegratorSpec("rk4", 1e-3, period), HARMONIC, M3)
+    expected = rotating_re_trajectory(CENTERED_TRIANGLE, M3, traj.times).q
+    assert float(np.abs(traj.q - expected).max()) <= 1e-8
+
+
+def test_rk4_matches_harmonic_flow_with_drifting_center_of_mass(rng):
+    # unequal masses, center of mass off the origin and moving: a case
+    # neither the rhombus nor the rotating control covers
+    masses = MassVector(rng.uniform(0.5, 3.0, size=5))
+    q0 = rng.uniform(-1.0, 1.0, size=(5, 2)) + np.array([3.0, -2.0])
+    v0 = rng.uniform(-1.0, 1.0, size=(5, 2)) + np.array([0.5, 0.25])
+    state = PhaseState(q0, v0, 0.5)
+    assert np.hypot(*(masses.m @ v0)) > 0.1
+    period = 2.0 * math.pi / math.sqrt(masses.total)
+    traj = integrate(state, IntegratorSpec("rk4", 1e-3, period), HARMONIC, masses)
+    exact = harmonic_flow(state, masses, traj.times)
+    assert float(np.abs(traj.q - exact.q).max()) <= 1e-8
+    assert float(np.abs(traj.v - exact.v).max()) <= 1e-8
+    assert exact.q[0] == pytest.approx(q0, abs=1e-14)
+    assert exact.v[0] == pytest.approx(v0, abs=1e-14)
 
 
 def test_trajectory_requires_increasing_times():
-    s = closed_form_rhombus(1.0, 0.0)
+    q = np.array([RHOMBUS.q, RHOMBUS.q])
     with pytest.raises(ValidationError):
-        Trajectory((s, s), HARMONIC, M4)
+        Trajectory([0.0, 0.0], q, np.zeros_like(q), HARMONIC, M4)
+
+
+def test_trajectory_rejects_nonfinite_sample():
+    q = np.array([RHOMBUS.q, RHOMBUS.q])
+    v = np.zeros_like(q)
+    bad_q = q.copy()
+    bad_q[1, 2, 0] = math.nan
+    bad_v = v.copy()
+    bad_v[0, 1, 1] = math.inf
+    for times, qq, vv, field in (([0.0, 1.0], bad_q, v, "q"), ([0.0, 1.0], q, bad_v, "v"),
+                                 ([0.0, math.inf], q, v, "times")):
+        with pytest.raises(ValidationError) as err:
+            Trajectory(times, qq, vv, HARMONIC, M4)
+        assert err.value.field == field
+
+
+def test_trajectory_rejects_shape_mismatch():
+    q = np.array([RHOMBUS.q, RHOMBUS.q])
+    cases = (
+        ([0.0, 1.0], q[:, :3], np.zeros((2, 3, 2)), "q"),   # body count differs from masses
+        ([0.0, 1.0, 2.0], q, np.zeros_like(q), "q"),        # sample count differs from times
+        ([0.0, 1.0], q, np.zeros((2, 4, 3)), "v"),
+        ([], q[:0], q[:0], "times"),
+    )
+    for times, qq, vv, field in cases:
+        with pytest.raises(ValidationError) as err:
+            Trajectory(times, qq, vv, HARMONIC, M4)
+        assert err.value.field == field
 
 
 def test_sampling_stride_keeps_endpoints():
-    state = closed_form_rhombus(1.0, 0.0)
-    traj = integrate(state, IntegratorSpec("rk4", 0.1, 1.05, sample_stride=3), HARMONIC, M4)
+    traj = integrate(build_theorem2_state(1.0),
+                     IntegratorSpec("rk4", 0.1, 1.05, sample_stride=3), HARMONIC, M4)
     # 10 steps: samples at 0, 3, 6, 9 and the final step 10
-    assert [round(s.t, 10) for s in traj.samples] == [0.0, 0.3, 0.6, 0.9, 1.0]
+    assert [round(t, 10) for t in traj.times] == [0.0, 0.3, 0.6, 0.9, 1.0]
 
 
 def test_rotating_trajectory_helper():
-    tri = PlanarConfiguration(
-        [[0.0, 1.0], [-math.sqrt(3.0) / 2.0, -0.5], [math.sqrt(3.0) / 2.0, -0.5]])
-    masses = MassVector([1.0, 1.0, 1.0])
-    traj = rotating_re_trajectory(tri, masses, np.linspace(0.0, 1.0, 11))
+    traj = rotating_re_trajectory(CENTERED_TRIANGLE, M3, np.linspace(0.0, 1.0, 11))
     assert len(traj) == 11
     assert traj.times[0] == 0.0

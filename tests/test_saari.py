@@ -17,7 +17,6 @@ from harmonia import (
     Trajectory,
     ZeroInertia,
     build_theorem2_state,
-    closed_form_rhombus,
     inertia_variation,
     integrate,
     is_relative_equilibrium,
@@ -85,8 +84,9 @@ def test_rigid_fit_recovers_random_orthogonal_maps(rng):
 
 
 def test_rigid_fit_rhombus_quarter_turn_defect():
-    a = closed_form_rhombus(1.0, math.pi / 4.0).config
-    b = closed_form_rhombus(1.0, 0.0).config
+    traj = rhombus_trajectory(1.0, [0.0, math.pi / 4.0])
+    a = PlanarConfiguration(traj.q[1])
+    b = PlanarConfiguration(traj.q[0])
     fit = rigid_fit(a, b, M4)
     assert fit.residual > 0.0
     # the label pattern swaps which pair is extended, so no orthogonal map
@@ -119,7 +119,7 @@ def test_inertia_variation_closed_form():
 
 
 def test_inertia_variation_single_sample():
-    traj = Trajectory((closed_form_rhombus(1.0, 0.0),), HARMONIC, M4)
+    traj = rhombus_trajectory(1.0, [0.0])
     assert inertia_variation(traj) == 0.0
 
 
@@ -131,8 +131,8 @@ def test_inertia_variation_generic_trajectory(rng):
 
 
 def test_inertia_variation_zero_inertia():
-    state = PhaseState([[0.0, 0.0]] * 2, np.zeros((2, 2)))
-    traj = Trajectory((state,), HARMONIC, MassVector([1.0, 1.0]))
+    traj = Trajectory([0.0], np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), HARMONIC,
+                      MassVector([1.0, 1.0]))
     with pytest.raises(ZeroInertia):
         inertia_variation(traj)
 
@@ -158,9 +158,9 @@ def test_rhombus_is_not_relative_equilibrium():
 
 
 def test_constant_trajectory_is_relative_equilibrium():
-    state = closed_form_rhombus(1.0, 0.0)
-    frozen = tuple(PhaseState(state.config, state.v, t) for t in (0.0, 0.5, 1.0))
-    traj = Trajectory(frozen, HARMONIC, M4)
+    state = build_theorem2_state(1.0)
+    traj = Trajectory([0.0, 0.5, 1.0], np.repeat(state.config.q[None], 3, axis=0),
+                      np.repeat(state.v[None], 3, axis=0), HARMONIC, M4)
     result = is_relative_equilibrium(traj, tol=1e-6)
     assert result.is_re
     assert result.defect == 0.0
@@ -170,7 +170,7 @@ def test_r14_swing_matches_cosine_law():
     k = 3.7
     times = np.linspace(0.0, 2.0 * math.pi, 1001)
     traj = rhombus_trajectory(k, times)
-    pos = traj.positions()
+    pos = traj.q
     r14_sq = ((pos[:, 0, :] - pos[:, 3, :]) ** 2).sum(axis=1)
     expected = 2.0 * k * np.cos(2.0 * times) ** 2
     assert np.abs(r14_sq - expected).max() <= 1e-12 * k
@@ -215,8 +215,8 @@ def test_theorem2_energy_constant_along_flow():
     h0 = total_energy(HARMONIC, state, M4)
     assert h0 == pytest.approx(4.0, rel=1e-14)
     traj = integrate(state, IntegratorSpec("rk4", 1e-3, 2.0 * math.pi), HARMONIC, M4)
-    for s in traj.samples:
-        assert abs(total_energy(HARMONIC, s, M4) - h0) <= 1e-8
+    for t, q, v in zip(traj.times, traj.q, traj.v):
+        assert abs(total_energy(HARMONIC, PhaseState(q, v, t), M4) - h0) <= 1e-8
 
 
 def test_verify_counterexample_default():
@@ -234,6 +234,27 @@ def test_verify_counterexample_scales_with_k():
     report = verify_counterexample(5.0, 2.0 * math.pi, 1e-3)
     assert report.verdict
     assert report.r14_squared_swing == pytest.approx(10.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("y1, x3", [
+    (lambda t: np.cos(3.0 * t), lambda t: np.sin(3.0 * t)),
+    (lambda t: np.cos(2.0 * t), lambda t: 0.0 * t),
+    (lambda t: np.cos(2.0 * t + 0.3), lambda t: np.sin(2.0 * t + 0.3)),
+], ids=["wrong_frequency", "missing_sin_term", "wrong_start_state"])
+def test_check_a_rejects_a_wrong_closed_form(monkeypatch, y1, x3):
+    # check (a) compares against its own second derivative, so a closed form
+    # that is not the rhombus solution must fail it
+    def wrong_trajectory(k, times):
+        amp = math.sqrt(k / 2.0)
+        q = np.zeros((times.size, 4, 2))
+        q[:, 0, 1], q[:, 3, 1] = amp * y1(times), -amp * y1(times)
+        q[:, 1, 0], q[:, 2, 0] = -amp * x3(times), amp * x3(times)
+        return Trajectory(times, q, np.zeros_like(q), HARMONIC, M4)
+
+    monkeypatch.setattr("harmonia.saari.rhombus_trajectory", wrong_trajectory)
+    report = verify_counterexample(1.0, 1.0, 1e-2)
+    assert report.eom_max_error > 1e-3
+    assert not report.passed_equations and not report.verdict
 
 
 @pytest.mark.parametrize("k", [0.1, 1.0, 10.0])

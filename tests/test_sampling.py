@@ -41,3 +41,27 @@ def test_random_configuration_respects_separation():
         d = config.q[:, None, :] - config.q[None, :, :]
         r = np.sqrt((d * d).sum(axis=2)) + np.where(np.eye(4, dtype=bool), np.inf, 0.0)
         assert float(r.min()) > 0.5
+
+
+def dense_random_configuration(rng, n, box=10.0, min_separation=0.0):
+    """Reference rejection draw: the dense n x n distance table with a masked diagonal."""
+    while True:
+        q = rng.uniform(-box, box, size=(n, 2))
+        if min_separation <= 0.0:
+            return q
+        d = q[:, None, :] - q[None, :, :]
+        r = np.sqrt((d * d).sum(axis=2)) + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
+        if float(r.min()) > min_separation:
+            return q
+
+
+@pytest.mark.parametrize("n, min_separation", [(1, 0.5), (2, 8.0), (5, 3.0), (30, 0.5)])
+def test_rejection_draws_match_dense_reference(n, min_separation):
+    ours = np.random.default_rng(11)
+    reference = np.random.default_rng(11)
+    for _ in range(20):
+        config = random_configuration(ours, n, min_separation=min_separation)
+        assert np.array_equal(config.q, dense_random_configuration(reference, n,
+                                                                   min_separation=min_separation))
+    # the same number of draws was consumed on both sides
+    assert ours.uniform() == reference.uniform()
