@@ -12,7 +12,16 @@ Scenario files are JSON documents:
       "tolerances": {"cc": 1e-9}                        optional overrides
     }
 
-Unknown keys are rejected. CSV output carries t, per-body qx/qy/vx/vy
+Unknown keys are rejected. The parser checks only the JSON shape: keys,
+required keys, numbers, [x, y] pairs, a string kind and method, and an
+integer stride. Ranges are
+checked by the domain types it builds (MassVector, PhaseState,
+PotentialSpec, IntegratorSpec), and their errors name the field as the
+document does ("masses[0]", "integrator.stride"). A run may take at most
+dynamics.MAX_STEPS = 10^7 steps (t_end / dt) and retain at most
+dynamics.MAX_SAMPLES = 10^6 samples.
+
+CSV output carries t, per-body qx/qy/vx/vy
 columns (1-based body labels), then I, U, E, all printed with 17
 significant digits so values round-trip bit exactly.
 
@@ -31,10 +40,12 @@ import numpy as np
 
 from .central_config import cc_residual, refine_cc, verify_continuum
 from .core import (
+    HARMONIC,
     MassVector,
     PhaseState,
     PlanarConfiguration,
     PotentialSpec,
+    _check_pairing,
     as_mass_vector,
     moment_of_inertia,
     mutual_distances,
@@ -59,6 +70,14 @@ _POTENTIAL_KEYS = {"kind", "exponent", "coupling"}
 _INTEGRATOR_KEYS = {"method", "dt", "t_end", "stride"}
 _TOLERANCE_KEYS = {"cc", "inertia", "rigidity", "refine"}
 _METHOD_ALIASES = {"verlet": VELOCITY_VERLET, "rk4": RK4}
+
+# Domain field -> document field; an index such as "[2]" is carried over.
+_DOCUMENT_FIELDS = {
+    "m": "masses", "q": "positions", "v": "velocities",
+    "kind": "potential.kind", "exponent": "potential.exponent",
+    "coupling": "potential.coupling", "method": "integrator.method",
+    "dt": "integrator.dt", "t_end": "integrator.t_end", "sample_stride": "integrator.stride",
+}
 
 
 @dataclass(frozen=True)
@@ -108,6 +127,8 @@ def _fmt(value) -> str:
 
 
 def _number(value, fieldname: str) -> float:
+    """A JSON number as a finite double: no NaN/Infinity literal, no integer
+    beyond the double range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(fieldname, "expected a number")
     try:
@@ -119,73 +140,46 @@ def _number(value, fieldname: str) -> float:
     return out
 
 
-def _point_array(value, fieldname: str, expected_len: int | None) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ValidationError(fieldname, "expected a nonempty array of [x, y] pairs")
+def _point_array(value, fieldname: str) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ValidationError(fieldname, "expected an array of [x, y] pairs")
     rows = []
     for i, item in enumerate(value):
         if not isinstance(item, list) or len(item) != 2:
             raise ValidationError(f"{fieldname}[{i}]", "expected an [x, y] pair")
         rows.append([_number(item[0], f"{fieldname}[{i}][0]"),
                      _number(item[1], f"{fieldname}[{i}][1]")])
-    if expected_len is not None and len(rows) != expected_len:
-        raise ValidationError(fieldname, f"length must match masses ({expected_len})")
     return np.array(rows)
 
 
-def _parse_potential(doc) -> PotentialSpec:
+def _section(doc, name: str, keys: set, required=()) -> dict:
+    """A JSON object with only the given keys and all of the required ones."""
     if not isinstance(doc, dict):
-        raise ValidationError("potential", "expected an object")
-    unknown = sorted(set(doc) - _POTENTIAL_KEYS)
+        raise ValidationError(name, "expected an object")
+    prefix = f"{name}." if name else ""
+    unknown = sorted(set(doc) - keys)
     if unknown:
-        raise ValidationError(f"potential.{unknown[0]}", "unknown key")
-    kind = doc.get("kind")
-    if kind not in ("harmonic", "newtonian", "power"):
-        raise ValidationError("potential.kind", "must be harmonic, newtonian, or power")
-    if kind == "power":
-        if "exponent" not in doc:
-            raise ValidationError("potential.exponent", "required for power law")
-        if "coupling" not in doc:
-            raise ValidationError("potential.coupling", "required for power law")
-        exponent = _number(doc["exponent"], "potential.exponent")
-        coupling = _number(doc["coupling"], "potential.coupling")
-        if exponent == 0.0:
-            raise ValidationError("potential.exponent", "must be nonzero")
-        if coupling <= 0.0:
-            raise ValidationError("potential.coupling", "must be positive")
-        return PotentialSpec.power(exponent, coupling)
-    if "exponent" in doc or "coupling" in doc:
-        raise ValidationError("potential.kind", f"{kind} takes no parameters")
-    return PotentialSpec(kind)
+        raise ValidationError(prefix + unknown[0], "unknown key")
+    for key in required:
+        if key not in doc:
+            raise ValidationError(prefix + key, "required")
+    return doc
 
 
-def _parse_integrator(doc) -> IntegratorSpec:
-    if not isinstance(doc, dict):
-        raise ValidationError("integrator", "expected an object")
-    unknown = sorted(set(doc) - _INTEGRATOR_KEYS)
-    if unknown:
-        raise ValidationError(f"integrator.{unknown[0]}", "unknown key")
-    method = doc.get("method")
-    if method not in _METHOD_ALIASES:
-        raise ValidationError("integrator.method", "must be 'verlet' or 'rk4'")
-    if "dt" not in doc:
-        raise ValidationError("integrator.dt", "required")
-    if "t_end" not in doc:
-        raise ValidationError("integrator.t_end", "required")
-    dt = _number(doc["dt"], "integrator.dt")
-    if dt <= 0.0:
-        raise ValidationError("integrator.dt", "must be positive")
-    t_end = _number(doc["t_end"], "integrator.t_end")
-    if t_end < dt:
-        raise ValidationError("integrator.t_end", "must cover at least one step")
-    stride = doc.get("stride", 10)
-    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
-        raise ValidationError("integrator.stride", "must be a positive integer")
-    return IntegratorSpec(_METHOD_ALIASES[method], dt, t_end, stride)
+def _document_field(field: str) -> str:
+    """Rename a domain field ("m[2]", "sample_stride") to its document path."""
+    head, bracket, rest = field.partition("[")
+    return _DOCUMENT_FIELDS.get(head, head) + bracket + rest
 
 
 def parse_scenario(text) -> Scenario:
-    """Parse and validate a scenario document (str or bytes)."""
+    """Parse a scenario document (str or bytes).
+
+    This function checks the JSON shape: the keys of each section, the
+    required ones and the type of each value. The ranges (positive masses,
+    dt > 0, ...) are checked by the domain types it builds, whose
+    ValidationErrors are re-raised with the field named as in the document.
+    """
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
@@ -196,51 +190,50 @@ def parse_scenario(text) -> Scenario:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
-    unknown = sorted(set(doc) - _SCENARIO_KEYS)
-    if unknown:
-        raise ValidationError(unknown[0], "unknown key")
+    _section(doc, "", _SCENARIO_KEYS, ("masses", "positions"))
 
-    if "masses" not in doc:
-        raise ValidationError("masses", "required")
-    raw_masses = doc["masses"]
-    if not isinstance(raw_masses, list) or len(raw_masses) < 2:
-        raise ValidationError("masses", "expected an array of at least two masses")
-    values = []
-    for i, item in enumerate(raw_masses):
-        value = _number(item, f"masses[{i}]")
-        if value <= 0.0:
-            raise ValidationError(f"masses[{i}]", "must be positive")
-        values.append(value)
-    masses = MassVector(np.array(values))
+    if not isinstance(doc["masses"], list):
+        raise ValidationError("masses", "expected an array of numbers")
+    mass_values = [_number(item, f"masses[{i}]") for i, item in enumerate(doc["masses"])]
+    positions = _point_array(doc["positions"], "positions")
+    velocities = _point_array(doc["velocities"], "velocities") if "velocities" in doc \
+        else np.zeros_like(positions)
 
-    if "positions" not in doc:
-        raise ValidationError("positions", "required")
-    positions = PlanarConfiguration(_point_array(doc["positions"], "positions", masses.n))
+    raw = _section(doc.get("potential", {"kind": HARMONIC}), "potential", _POTENTIAL_KEYS,
+                   ("kind",))
+    if not isinstance(raw["kind"], str):
+        raise ValidationError("potential.kind", "expected a string")
+    potential_args = [raw["kind"]] + [_number(raw[key], f"potential.{key}") if key in raw
+                                      else None for key in ("exponent", "coupling")]
 
-    if "velocities" in doc:
-        velocities = _point_array(doc["velocities"], "velocities", masses.n)
-    else:
-        velocities = np.zeros((masses.n, 2))
-
-    potential = _parse_potential(doc["potential"]) if "potential" in doc \
-        else PotentialSpec.harmonic()
-    integrator = _parse_integrator(doc["integrator"]) if "integrator" in doc else None
+    integrator_args = None
+    if "integrator" in doc:
+        raw = _section(doc["integrator"], "integrator", _INTEGRATOR_KEYS,
+                       ("method", "dt", "t_end"))
+        method = _METHOD_ALIASES.get(raw["method"]) if isinstance(raw["method"], str) else None
+        if method is None:
+            raise ValidationError("integrator.method", "must be 'verlet' or 'rk4'")
+        stride = raw.get("stride", IntegratorSpec.sample_stride)
+        if isinstance(stride, bool) or not isinstance(stride, int):
+            raise ValidationError("integrator.stride", "expected an integer")
+        integrator_args = (method, _number(raw["dt"], "integrator.dt"),
+                           _number(raw["t_end"], "integrator.t_end"), stride)
 
     tolerances = {}
-    if "tolerances" in doc:
-        raw = doc["tolerances"]
-        if not isinstance(raw, dict):
-            raise ValidationError("tolerances", "expected an object")
-        unknown = sorted(set(raw) - _TOLERANCE_KEYS)
-        if unknown:
-            raise ValidationError(f"tolerances.{unknown[0]}", "unknown key")
-        for key, item in raw.items():
-            value = _number(item, f"tolerances.{key}")
-            if value <= 0.0:
-                raise ValidationError(f"tolerances.{key}", "must be positive")
-            tolerances[key] = value
+    for key, item in _section(doc.get("tolerances", {}), "tolerances", _TOLERANCE_KEYS).items():
+        tolerances[key] = _number(item, f"tolerances.{key}")
+        if tolerances[key] <= 0.0:  # tolerances have no domain type
+            raise ValidationError(f"tolerances.{key}", "must be positive")
 
-    return Scenario(masses, positions, velocities, potential, integrator, tolerances)
+    try:
+        masses = MassVector(np.array(mass_values))
+        state = PhaseState(positions, velocities)
+        _check_pairing(state.config, masses)
+        potential = PotentialSpec(*potential_args)
+        integrator = IntegratorSpec(*integrator_args) if integrator_args else None
+    except ValidationError as exc:
+        raise ValidationError(_document_field(exc.field), exc.reason) from None
+    return Scenario(masses, state.config, state.v, potential, integrator, tolerances)
 
 
 def load_scenario(path) -> Scenario:
@@ -278,7 +271,10 @@ def read_trajectory_csv(text: str, m, potential: PotentialSpec) -> Trajectory:
     width = 4 * masses.n + 4
     rows = []
     for line in lines[1:]:
-        cells = [float(c) for c in line.split(",")]
+        try:
+            cells = [float(c) for c in line.split(",")]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric CSV cell: {exc}") from None
         if len(cells) != width:
             raise ParseError("row width does not match header")
         rows.append(cells)
@@ -287,12 +283,16 @@ def read_trajectory_csv(text: str, m, potential: PotentialSpec) -> Trajectory:
     return Trajectory(table[:, 0], bodies[:, :, 0:2], bodies[:, :, 2:4], potential, masses)
 
 
+def _integrate(scenario: Scenario, verb: str) -> Trajectory:
+    if scenario.integrator is None:
+        raise ValidationError("integrator", f"required for {verb}")
+    return integrate(scenario.initial_state(), scenario.integrator,
+                     scenario.potential, scenario.masses)
+
+
 def cmd_simulate(scenario: Scenario, sink) -> RunReport:
     """Integrate the scenario and stream the sampled trajectory as CSV."""
-    if scenario.integrator is None:
-        raise ValidationError("integrator", "required for simulate")
-    traj = integrate(scenario.initial_state(), scenario.integrator,
-                     scenario.potential, scenario.masses)
+    traj = _integrate(scenario, "simulate")
     write_trajectory_csv(traj, sink)
     report = RunReport("simulate")
     report.measurements["samples"] = len(traj)
@@ -357,11 +357,7 @@ def cmd_family(k: float, n_samples: int) -> RunReport:
 
 def cmd_saari(scenario: Scenario) -> RunReport:
     """Integrate the scenario and classify the resulting trajectory."""
-    if scenario.integrator is None:
-        raise ValidationError("integrator", "required for saari")
-    traj = integrate(scenario.initial_state(), scenario.integrator,
-                     scenario.potential, scenario.masses)
-    rep = saari_check(traj,
+    rep = saari_check(_integrate(scenario, "saari"),
                       tol_inertia=scenario.tolerances.get("inertia", 1e-8),
                       tol_rigidity=scenario.tolerances.get("rigidity", 1e-6))
     report = RunReport("saari")
@@ -466,11 +462,12 @@ def main(argv=None) -> int:
             report = cmd_saari(load_scenario(args.file))
         else:
             report = cmd_reproduce(args.which)
-    except HarmoniaError as exc:
-        sys.stdout.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
-        sys.stdout.write(f"error: {exc}\n")
+    except (HarmoniaError, OSError) as exc:
+        message = str(exc)
+        # one line, even when the message echoes a key or path with a line break
+        if not message.isprintable():
+            message = repr(message)[1:-1]
+        sys.stdout.write(f"error: {message}\n")
         return EXIT_ERROR
     sys.stdout.write(report.render())
     return report.exit_status

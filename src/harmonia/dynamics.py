@@ -36,13 +36,19 @@ VELOCITY_VERLET = "velocity_verlet"
 RK4 = "rk4"
 INTEGRATION_METHODS = (VELOCITY_VERLET, RK4)
 
+# Budgets of one run: 100x the longest run in use (1e5 steps), and the
+# number of retained samples.
+MAX_STEPS = 10 ** 7
+MAX_SAMPLES = 10 ** 6
+
 
 @dataclass(frozen=True)
 class IntegratorSpec:
     """Fixed-step integration request.
 
-    The run covers round(t_end / dt) steps. Samples are retained every
-    ``sample_stride`` steps; the initial and final states are always kept.
+    The run covers ``n_steps`` = round(t_end / dt) steps, at most
+    MAX_STEPS. Samples are retained every ``sample_stride`` steps; the
+    initial and final states are always kept, at most MAX_SAMPLES in all.
     """
 
     method: str
@@ -62,6 +68,15 @@ class IntegratorSpec:
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "t_end", float(self.t_end))
         object.__setattr__(self, "sample_stride", int(self.sample_stride))
+        # compared as a float, so a subnormal dt gives inf, not an int overflow
+        if self.t_end / self.dt > MAX_STEPS:
+            raise ValidationError("dt", f"run would exceed {MAX_STEPS} steps")
+        if -(-self.n_steps // self.sample_stride) + 1 > MAX_SAMPLES:
+            raise ValidationError("sample_stride", f"run would retain over {MAX_SAMPLES} samples")
+
+    @property
+    def n_steps(self) -> int:
+        return max(1, int(round(self.t_end / self.dt)))
 
 
 @dataclass(frozen=True)
@@ -169,7 +184,7 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
     accel = _acceleration_function(potential, m)
     dt = integrator.dt
     stride = integrator.sample_stride
-    n_steps = max(1, int(round(integrator.t_end / dt)))
+    n_steps = integrator.n_steps
     t0 = state0.t
 
     q = np.array(state0.config.q)

@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     PlanarConfiguration,
     PotentialSpec,
+    _pair_indices,
     as_configuration,
     as_mass_vector,
     rotation,
@@ -164,12 +165,18 @@ def inertia_variation(traj: Trajectory) -> float:
 
 
 def _pair_distance_variations(traj: Trajectory):
-    """Largest swing of a pair distance, its 1-based pair, and the (S, n, n) distances."""
-    pos = traj.q
-    diff = pos[:, :, None, :] - pos[:, None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=3))
-    i, j = np.triu_indices(pos.shape[1], 1)
-    spread = (dist.max(axis=0) - dist.min(axis=0))[i, j]
+    """Largest swing of a pair distance, its 1-based pair, and the (S, P) distances.
+
+    Column p holds r_ij over the samples for the p-th pair i < j of
+    ``core._pair_indices``, in row-major order.
+    """
+    i, j = _pair_indices(traj.m.n)
+    x = traj.q[:, :, 0]
+    y = traj.q[:, :, 1]
+    dx = x[:, i] - x[:, j]
+    dy = y[:, i] - y[:, j]
+    dist = np.sqrt(dx * dx + dy * dy)
+    spread = dist.max(axis=0) - dist.min(axis=0)
     worst = float(spread.max())
     # deterministic certificate: among near-ties take the first pair by label
     first = int(np.argmax(spread >= worst - _PAIR_TIE_TOL * max(1.0, worst)))
@@ -246,13 +253,8 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
     Collision pairs along the closed form are detected numerically and
     included in the report.
     """
-    if not np.isfinite(k) or k <= 0.0:
-        raise ValidationError("k", "must be positive")
-    if t_end <= 0.0:
-        raise ValidationError("t_end", "must be positive")
-    if dt <= 0.0:
-        raise ValidationError("dt", "must be positive")
-
+    integrator = IntegratorSpec(method, dt, t_end)
+    state0 = build_theorem2_state(k)
     masses = rhombus_masses()
     harmonic = PotentialSpec.harmonic()
     times = np.linspace(0.0, t_end, 1001)
@@ -271,8 +273,7 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
 
     # (b) inertia constancy, closed form and integrated flow
     ivar_closed = inertia_variation(closed)
-    integ = integrate(build_theorem2_state(k),
-                      IntegratorSpec(method, dt, t_end), harmonic, masses)
+    integ = integrate(state0, integrator, harmonic, masses)
     ivar_integrated = inertia_variation(integ)
 
     # (c) rigidity defect, with the witness near t = pi/4
@@ -285,12 +286,9 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
     swing = float(r14_sq.max() - r14_sq.min())
 
     _, _, dist = _pair_distance_variations(closed)
-    collision_pairs = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            dij = dist[:, i, j]
-            if float(dij.min()) <= 1e-9 * math.sqrt(k):
-                collision_pairs.append(((i + 1, j + 1), float(times[int(dij.argmin())])))
+    i, j = _pair_indices(4)
+    collision_pairs = [((int(i[p]) + 1, int(j[p]) + 1), float(times[int(dist[:, p].argmin())]))
+                       for p in np.flatnonzero(dist.min(axis=0) <= 1e-9 * math.sqrt(k))]
 
     passed_equations = eom_err <= 1e-10
     passed_inertia = ivar_closed <= 1e-12 and ivar_integrated <= 1e-8

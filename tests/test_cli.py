@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +113,37 @@ def test_parse_verlet_alias():
     doc["integrator"] = {"method": "verlet", "dt": 1e-3, "t_end": 1.0}
     scenario = parse_scenario(scenario_text(doc))
     assert scenario.integrator.method == "velocity_verlet"
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"masses": [1.0]}, "masses"),
+    ({"masses": {"m": 1.0}}, "masses"),
+    ({"masses": [1.0, 0.0]}, "masses[1]"),
+    ({"positions": []}, "positions"),
+    ({"positions": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}, "positions"),
+    ({"positions": [[0.0, 0.0], [1.0]]}, "positions[1]"),
+    ({"velocities": [[0.0, 0.0], [0.0, "fast"]]}, "velocities[1][1]"),
+    ({"potential": {}}, "potential.kind"),
+    ({"potential": {"kind": "yukawa"}}, "potential.kind"),
+    ({"potential": {"kind": ["harmonic"]}}, "potential.kind"),
+    ({"potential": {"kind": "newtonian", "coupling": 1.0}}, "potential.kind"),
+    ({"potential": {"kind": "power", "coupling": 1.0}}, "potential.exponent"),
+    ({"potential": {"kind": "power", "exponent": 0.0, "coupling": 1.0}}, "potential.exponent"),
+    ({"potential": {"kind": "power", "exponent": 2.0, "coupling": 0.0}}, "potential.coupling"),
+    ({"integrator": {"method": "rk4", "t_end": 1.0}}, "integrator.dt"),
+    ({"integrator": {"method": "rk4", "dt": 1e-3, "t_end": 1e-4}}, "integrator.t_end"),
+    ({"integrator": {"method": "rk4", "dt": 1e-3, "t_end": 1.0, "stride": 0}}, "integrator.stride"),
+    ({"integrator": {"method": "rk4", "dt": 1e-6, "t_end": 1.0, "stride": 1}}, "integrator.stride"),
+    ({"integrator": {"method": "rk4", "dt": 1e-3, "t_end": 1e5}}, "integrator.dt"),
+    ({"integrator": []}, "integrator"),
+    ({"tolerances": {"cc": 0.0}}, "tolerances.cc"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_parse_names_document_fields(extra, field):
+    # range errors come from the domain types, named as the document names them
+    doc = dict(MINIMAL, **extra)
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(scenario_text(doc))
+    assert err.value.field == field
 
 
 def test_parse_tolerances():
@@ -294,6 +326,41 @@ def test_unparsable_scenarios_are_contract_errors(tmp_path, capsys, payload, exp
     assert code == EXIT_ERROR
     assert captured.out.startswith(expected)
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("integrator, expected", [
+    ({"method": ["rk4"], "dt": 1e-3, "t_end": 1.0}, "error: integrator.method: "),
+    ({"method": "velocity_verlet", "dt": 1e-3, "t_end": 1.0}, "error: integrator.method: "),
+    ({"method": "rk4", "dt": 1e-3, "t_end": 1.0, "stride": 2.0}, "error: integrator.stride: "),
+    ({"method": "rk4", "dt": 1e-300, "t_end": 2.0 * math.pi}, "error: integrator.dt: "),
+    ({"method": "rk4", "dt": 5e-324, "t_end": 2.0 * math.pi}, "error: integrator.dt: "),
+], ids=["method-list", "method-long-name", "stride-float", "dt-1e-300", "dt-subnormal"])
+def test_bad_integrators_are_contract_errors(tmp_path, capsys, integrator, expected):
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_text(dict(MINIMAL, integrator=integrator)))
+    start = time.perf_counter()
+    code = main(["saari", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out.startswith(expected)
+    assert len(captured.out.splitlines()) == 1
+    assert "Traceback" not in captured.out + captured.err
+    assert elapsed < 5.0  # rejected before any step is taken
+
+
+def test_error_line_escapes_line_breaks(tmp_path, capsys):
+    # the message echoes the unknown key; its line break must not split the line
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_text(dict(MINIMAL, **{"bad\r\nkey": 1})))
+    assert main(["cc-check", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().out == "error: bad\\r\\nkey: unknown key\n"
+
+
+def test_read_csv_rejects_non_numeric_cell():
+    text = csv_header(2) + "\n" + ",".join(["x"] * 12) + "\n"
+    with pytest.raises(ParseError):
+        read_trajectory_csv(text, [1.0, 1.0], PotentialSpec.harmonic())
 
 
 @pytest.mark.parametrize("argv", [["bogus-verb"], ["family", "--k", "1", "--samples", "x"],

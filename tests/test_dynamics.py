@@ -26,6 +26,7 @@ from harmonia import (
     rotating_re_trajectory,
     rotation,
 )
+from harmonia.dynamics import MAX_SAMPLES, MAX_STEPS
 from conftest import central_difference_gradient, equilateral
 
 HARMONIC = PotentialSpec.harmonic()
@@ -85,6 +86,33 @@ def test_integrator_spec_rejects_bad_steps():
         IntegratorSpec("euler", dt=1e-3, t_end=1.0)
     with pytest.raises(ValidationError):
         IntegratorSpec("rk4", dt=1e-3, t_end=1.0, sample_stride=0)
+
+
+def test_integrator_spec_counts_steps():
+    assert IntegratorSpec("rk4", 1e-3, 2.0 * math.pi).n_steps == 6283
+    assert IntegratorSpec("rk4", 0.5, 0.5).n_steps == 1
+    assert IntegratorSpec("rk4", 1.0, 1.4).n_steps == 1
+
+
+def test_integrator_spec_step_budget():
+    assert IntegratorSpec("rk4", 1.0, float(MAX_STEPS), sample_stride=100).n_steps == MAX_STEPS
+    # 5e-324 is the smallest subnormal: t_end / dt is inf, not an int overflow,
+    # and a numpy scalar dt does not overflow in numpy either
+    for dt in (1.0 - 1e-9, 1e-300, 5e-324, np.float64(5e-324)):
+        with pytest.raises(ValidationError) as err, np.errstate(over="raise"):
+            IntegratorSpec("rk4", dt, float(MAX_STEPS), sample_stride=MAX_STEPS)
+        assert err.value.field == "dt"
+
+
+def test_integrator_spec_sample_budget():
+    # MAX_SAMPLES - 1 steps at stride 1 keep MAX_SAMPLES samples, one more is over
+    assert IntegratorSpec("rk4", 1.0, MAX_SAMPLES - 1.0, sample_stride=1).n_steps \
+        == MAX_SAMPLES - 1
+    with pytest.raises(ValidationError) as err:
+        IntegratorSpec("rk4", 1.0, float(MAX_SAMPLES), sample_stride=1)
+    assert err.value.field == "sample_stride"
+    assert IntegratorSpec("rk4", 1.0, float(MAX_SAMPLES), sample_stride=2).n_steps \
+        == MAX_SAMPLES
 
 
 def test_two_body_matches_closed_form():

@@ -15,8 +15,10 @@ from harmonia import (
     PlanarConfiguration,
     PotentialSpec,
     Trajectory,
+    ValidationError,
     ZeroInertia,
     build_theorem2_state,
+    harmonic_flow,
     inertia_variation,
     integrate,
     is_relative_equilibrium,
@@ -277,3 +279,37 @@ def test_rotating_control_defeats_check_c():
     result = is_relative_equilibrium(traj, tol=1e-6)
     assert result.is_re
     assert not ((not result.is_re) and result.defect > 1e-2)
+
+
+@pytest.mark.parametrize("n", [2, 4, 40])
+def test_pair_distance_sweep_matches_dense_formula(n):
+    from harmonia.saari import _pair_distance_variations
+    rng = np.random.default_rng(n)
+    masses = MassVector(rng.uniform(0.5, 2.0, n))
+    state = PhaseState(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)))
+    traj = harmonic_flow(state, masses, np.linspace(0.0, 3.0, 101))
+    # oracle: the dense (S, n, n) offset tensor and its upper triangle
+    diff = traj.q[:, :, None, :] - traj.q[:, None, :, :]
+    dense = np.sqrt((diff * diff).sum(axis=3))
+    i, j = np.triu_indices(n, 1)
+    spread = (dense.max(axis=0) - dense.min(axis=0))[i, j]
+    worst, pair, dist = _pair_distance_variations(traj)
+    assert dist.shape == (101, n * (n - 1) // 2)
+    assert np.array_equal(dist, dense[:, i, j])
+    assert worst == spread.max()
+    first = int(np.flatnonzero(spread == spread.max())[0])
+    assert pair == (i[first] + 1, j[first] + 1)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((1.0, 2.0 * math.pi, 0.0), "dt"),
+    ((1.0, -1.0, 1e-3), "t_end"),
+    ((1.0, 1e-4, 1e-3), "t_end"),
+    ((1.0, 2.0 * math.pi, 1e-3, "euler"), "method"),
+    ((-1.0, 2.0 * math.pi, 1e-3), "k"),
+    ((math.nan, 2.0 * math.pi, 1e-3), "k"),
+])
+def test_verify_counterexample_rejects_bad_input(args, field):
+    with pytest.raises(ValidationError) as err:
+        verify_counterexample(*args)
+    assert err.value.field == field
