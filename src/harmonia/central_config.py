@@ -19,9 +19,7 @@ from .core import (
     MassVector,
     PlanarConfiguration,
     PotentialSpec,
-    as_configuration,
-    as_mass_vector,
-    center_of_mass,
+    _bodies,
     inertia_gradient,
     moment_of_inertia,
     potential_energy,
@@ -32,6 +30,9 @@ from .saari import rigid_fit
 
 _DEGENERATE_EPS = 1e-14
 _INERTIA_REL_TOL = 1e-12
+
+# verify_continuum fits every pair of samples: 523 776 rigid fits at this cap
+MAX_FAMILY_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,20 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
 
     Solves grad I = w2 grad U for the scalar w2 and reports the
     scale-insensitive residual |grad I - w2 grad U| / (1 + |grad I|).
-    Raises DegenerateGradient when grad U vanishes (total collision or an
-    exact critical point of U), where w2 is undetermined.
+    Raises ValidationError on ``q`` when a gradient norm overflows (the
+    positions lie too far out for doubles), and DegenerateGradient when
+    grad U vanishes (total collision or an exact critical point of U),
+    where w2 is undetermined.
     """
-    config = as_configuration(config)
-    m = as_mass_vector(m)
-    gi = inertia_gradient(config, m).ravel()
-    gu = potential_gradient(potential, config, m).ravel()
-    ni = float(np.linalg.norm(gi))
-    nu = float(np.linalg.norm(gu))
+    config, m = _bodies(config, m)
+    # an overflow shows up in the norms; finite norms bound everything after them
+    with np.errstate(over="ignore", invalid="ignore"):
+        gi = inertia_gradient(config, m).ravel()
+        gu = potential_gradient(potential, config, m).ravel()
+        ni = float(np.linalg.norm(gi))
+        nu = float(np.linalg.norm(gu))
+    if not math.isfinite(ni + nu):
+        raise ValidationError("q", f"gradient overflow: |grad I| = {ni:.3e}, |grad U| = {nu:.3e}")
     if nu <= _DEGENERATE_EPS * (1.0 + ni):
         raise DegenerateGradient(f"|grad U| = {nu:.3e} is degenerate")
     w2 = float(gi @ gu) / float(gu @ gu)
@@ -123,8 +129,7 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
     gradient norm. Critical points may be maxima of U on the ellipsoid
     (the Lagrange configuration is), so both orientations are tried.
     """
-    config0 = as_configuration(config0)
-    m = as_mass_vector(m)
+    config0, m = _bodies(config0, m)
     if not np.isfinite(k) or k <= 0.0:
         raise ValidationError("k", "must be positive")
     if moment_of_inertia(config0, m) <= 0.0:
@@ -183,11 +188,7 @@ def family_masses() -> MassVector:
 
 def rotationally_equivalent(a, b, m, tol: float = 1e-9) -> bool:
     """True when some rotation about the origin maps b onto a body by body."""
-    a = as_configuration(a)
-    b = as_configuration(b)
-    m = as_mass_vector(m)
-    fit = rigid_fit(a, b, m, allow_reflection=False)
-    return fit.residual <= tol
+    return rigid_fit(a, b, m, allow_reflection=False).residual <= tol
 
 
 def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumReport:
@@ -196,12 +197,12 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     Draws eta uniformly in (0, pi/2] (the open end avoids the coincident
     pair at eta = 0). The verdict is true when every sample is a central
     configuration within ``tol``, has inertia k to 1e-12 relative, and no
-    two samples are rotationally equivalent.
+    two samples are rotationally equivalent. At most MAX_FAMILY_SAMPLES
+    samples are accepted, since the pairwise check grows as n_samples^2.
+    ``theorem1_family`` checks k.
     """
-    if not np.isfinite(k) or k <= 0.0:
-        raise ValidationError("k", "must be positive")
-    if int(n_samples) != n_samples or n_samples < 2:
-        raise ValidationError("n_samples", "need at least two samples")
+    if not 2 <= n_samples <= MAX_FAMILY_SAMPLES or int(n_samples) != n_samples:
+        raise ValidationError("n_samples", f"need 2 to {MAX_FAMILY_SAMPLES} samples")
     n_samples = int(n_samples)
 
     masses = family_masses()

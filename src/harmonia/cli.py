@@ -19,7 +19,9 @@ checked by the domain types it builds (MassVector, PhaseState,
 PotentialSpec, IntegratorSpec), and their errors name the field as the
 document does ("masses[0]", "integrator.stride"). A run may take at most
 dynamics.MAX_STEPS = 10^7 steps (t_end / dt) and retain at most
-dynamics.MAX_SAMPLES = 10^6 samples.
+dynamics.MAX_SAMPLES = 10^6 samples; ``family`` takes at most
+central_config.MAX_FAMILY_SAMPLES = 1024 samples. ``simulate`` replaces
+the file named by ``--out`` only when the run succeeds.
 
 CSV output carries t, per-body qx/qy/vx/vy
 columns (1-based body labels), then I, U, E, all printed with 17
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -45,10 +48,10 @@ from .core import (
     PhaseState,
     PlanarConfiguration,
     PotentialSpec,
-    _check_pairing,
+    _bodies,
+    _pair_offsets,
     as_mass_vector,
     moment_of_inertia,
-    mutual_distances,
 )
 from .dynamics import (
     RK4,
@@ -228,7 +231,7 @@ def parse_scenario(text) -> Scenario:
     try:
         masses = MassVector(np.array(mass_values))
         state = PhaseState(positions, velocities)
-        _check_pairing(state.config, masses)
+        _bodies(state.config, masses)
         potential = PotentialSpec(*potential_args)
         integrator = IntegratorSpec(*integrator_args) if integrator_args else None
     except ValidationError as exc:
@@ -290,6 +293,29 @@ def _integrate(scenario: Scenario, verb: str) -> Trajectory:
                      scenario.potential, scenario.masses)
 
 
+def _replace_on_success(path: str, write):
+    """Return ``write(sink)``, whose output replaces the file at ``path`` only if it returns.
+
+    The sink is a new file beside the target (symlinks resolved), renamed onto
+    it at the end, so on any error an existing file keeps its old bytes. A
+    device or pipe such as /dev/stdout cannot be renamed onto; it is written
+    in place.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as sink:
+            return write(sink)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as sink:
+            result = write(sink)
+        os.replace(tmp, path)
+        return result
+    finally:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+
+
 def cmd_simulate(scenario: Scenario, sink) -> RunReport:
     """Integrate the scenario and stream the sampled trajectory as CSV."""
     traj = _integrate(scenario, "simulate")
@@ -329,11 +355,9 @@ def cmd_cc_refine(scenario: Scenario, k: float) -> RunReport:
     report.measurements["residual"] = rep.residual
     report.measurements["omega_squared"] = rep.omega_squared
     report.measurements["I"] = moment_of_inertia(refined, scenario.masses)
-    table = mutual_distances(refined).r
-    n = scenario.masses.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            report.measurements[f"r{i + 1}{j + 1}"] = float(table[i, j])
+    i, j, _, _, r = _pair_offsets(refined.q)
+    for a, b, rij in zip(i.tolist(), j.tolist(), r.tolist()):
+        report.measurements[f"r{a + 1}{b + 1}"] = rij
     for i, (x, y) in enumerate(refined.q, start=1):
         report.details.append(f"body{i} = {_fmt(float(x))},{_fmt(float(y))}")
     return report
@@ -450,8 +474,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.verb == "simulate":
             scenario = load_scenario(args.file)
-            with open(args.out, "w", encoding="utf-8") as sink:
-                report = cmd_simulate(scenario, sink)
+            report = _replace_on_success(args.out, lambda sink: cmd_simulate(scenario, sink))
         elif args.verb == "cc-check":
             report = cmd_cc_check(load_scenario(args.file))
         elif args.verb == "cc-refine":

@@ -112,10 +112,8 @@ class PhaseState:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        config = self.config
-        if not isinstance(config, PlanarConfiguration):
-            config = PlanarConfiguration(config)
-            object.__setattr__(self, "config", config)
+        config = as_configuration(self.config)
+        object.__setattr__(self, "config", config)
         v = np.array(self.v, dtype=float)
         if v.shape != config.q.shape:
             raise ValidationError("v", "velocities must match positions in shape")
@@ -233,10 +231,14 @@ def as_configuration(q) -> PlanarConfiguration:
     return q if isinstance(q, PlanarConfiguration) else PlanarConfiguration(np.asarray(q, dtype=float))
 
 
-def _check_pairing(config: PlanarConfiguration, m: MassVector) -> None:
+def _bodies(config, m) -> tuple[PlanarConfiguration, MassVector]:
+    """Coerce a configuration and its masses, which must count the same bodies."""
+    config = as_configuration(config)
+    m = as_mass_vector(m)
     if config.n != m.n:
         raise ValidationError(
             "q", f"configuration has {config.n} bodies but masses have {m.n}")
+    return config, m
 
 
 def _distance_matrix(q: np.ndarray) -> np.ndarray:
@@ -254,18 +256,27 @@ def _pair_indices(n: int):
     return tuple(_frozen(a) for a in np.triu_indices(n, 1))
 
 
-def _pair_separations(potential: PotentialSpec, q: np.ndarray):
+def _pair_offsets(q: np.ndarray):
     """One pass over the pairs i < j: indices, x and y offsets q_i - q_j, and r_ij.
+
+    ``q`` holds positions of shape (..., n, 2), one configuration or a
+    stack of them; the offsets and distances have shape (..., P), with the
+    P pairs in the row-major order of ``_pair_indices``.
+    """
+    i, j = _pair_indices(q.shape[-2])
+    d = q.take(i, axis=-2) - q.take(j, axis=-2)
+    dx = d[..., 0]
+    dy = d[..., 1]
+    return i, j, dx, dy, np.sqrt(dx * dx + dy * dy)
+
+
+def _pair_separations(potential: PotentialSpec, q: np.ndarray):
+    """``_pair_offsets`` of one configuration, checked for collisions.
 
     Raises CollisionSingularity, naming the first closest pair in row-major
     order, when a singular potential sees a separation below COLLISION_EPS.
     """
-    i, j = _pair_indices(q.shape[0])
-    x = q[:, 0]
-    y = q[:, 1]
-    dx = x[i] - x[j]
-    dy = y[i] - y[j]
-    r = np.sqrt(dx * dx + dy * dy)
+    i, j, dx, dy, r = _pair_offsets(q)
     if potential.singular:
         k = int(r.argmin())
         if r[k] < COLLISION_EPS:
@@ -288,9 +299,7 @@ def total_mass(m) -> float:
 
 def center_of_mass(config, m) -> np.ndarray:
     """Mass-weighted mean position, shape (2,)."""
-    config = as_configuration(config)
-    m = as_mass_vector(m)
-    _check_pairing(config, m)
+    config, m = _bodies(config, m)
     return (m.m @ config.q) / m.total
 
 
@@ -310,9 +319,7 @@ def moment_of_inertia(config, m) -> float:
     Depends only on the mutual distances, so it is invariant under any
     rigid motion of the configuration.
     """
-    config = as_configuration(config)
-    m = as_mass_vector(m)
-    _check_pairing(config, m)
+    config, m = _bodies(config, m)
     return _inertia(config.q, m.m)
 
 
@@ -328,17 +335,13 @@ def moment_of_inertia_cartesian(config, m) -> float:
     Equals the canonical form plus M |q_cm|^2, so the two agree exactly
     in the center-of-mass frame.
     """
-    config = as_configuration(config)
-    m = as_mass_vector(m)
-    _check_pairing(config, m)
+    config, m = _bodies(config, m)
     return float(m.m @ (config.q * config.q).sum(axis=1))
 
 
 def potential_energy(potential: PotentialSpec, config, m) -> float:
     """Potential energy of the configuration under the selected potential."""
-    config = as_configuration(config)
-    m = as_mass_vector(m)
-    _check_pairing(config, m)
+    config, m = _bodies(config, m)
     return _potential(potential, config.q, m.m)
 
 
@@ -379,24 +382,19 @@ def potential_gradient(potential: PotentialSpec, config, m) -> np.ndarray:
 
     For the harmonic kind this is M m_i (q_i - q_cm).
     """
-    config = as_configuration(config)
-    m = as_mass_vector(m)
-    _check_pairing(config, m)
+    config, m = _bodies(config, m)
     return _gradient_rows(potential, config.q, m.m)
 
 
 def inertia_gradient(config, m) -> np.ndarray:
     """Exact gradient of the canonical moment of inertia: 2 m_i (q_i - q_cm)."""
-    config = as_configuration(config)
-    m = as_mass_vector(m)
-    _check_pairing(config, m)
+    config, m = _bodies(config, m)
     return 2.0 * _mass_weighted_offsets(config.q, m.m)
 
 
 def kinetic_energy(state: PhaseState, m) -> float:
     """(1/2) sum_i m_i |v_i|^2."""
-    m = as_mass_vector(m)
-    _check_pairing(state.config, m)
+    _, m = _bodies(state.config, m)
     return 0.5 * float(m.m @ (state.v * state.v).sum(axis=1))
 
 

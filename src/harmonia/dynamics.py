@@ -22,11 +22,11 @@ from .core import (
     MassVector,
     PhaseState,
     PotentialSpec,
+    _bodies,
     _frozen,
     _gradient_rows,
     _inertia,
     _potential,
-    as_configuration,
     as_mass_vector,
     center_of_mass,
 )
@@ -141,8 +141,7 @@ class Trajectory:
 
 def accelerations(potential: PotentialSpec, config, m) -> np.ndarray:
     """Per-body acceleration a_i = -(1/m_i) dU/dq_i, one row per body."""
-    config = as_configuration(config)
-    m = as_mass_vector(m)
+    config, m = _bodies(config, m)
     grad = _gradient_rows(potential, config.q, m.m)
     return -grad / m.m[:, None]
 
@@ -173,11 +172,9 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
     CollisionSingularity if a singular potential sees a pair separation
     below the collision threshold.
     """
-    m = as_mass_vector(m)
     if not isinstance(state0, PhaseState):
         raise ValidationError("state0", "expected a PhaseState")
-    if state0.n != m.n:
-        raise ValidationError("state0", "body count must match masses")
+    _, m = _bodies(state0.config, m)
     if not isinstance(integrator, IntegratorSpec):
         raise ValidationError("integrator", "expected an IntegratorSpec")
 
@@ -244,11 +241,9 @@ def harmonic_flow(state0: PhaseState, m, times) -> Trajectory:
 
     where dq_i and dv_i are body i's initial offsets from the center of mass.
     """
-    m = as_mass_vector(m)
     if not isinstance(state0, PhaseState):
         raise ValidationError("state0", "expected a PhaseState")
-    if state0.n != m.n:
-        raise ValidationError("state0", "body count must match masses")
+    _, m = _bodies(state0.config, m)
     times = np.array(times, dtype=float, ndmin=1)
     omega = math.sqrt(m.total)
     q_cm = (m.m @ state0.config.q) / m.total
@@ -299,8 +294,7 @@ def rotating_re_trajectory(config0, m, times) -> Trajectory:
     an exact solution whose mutual distances stay fixed, the canonical
     positive control for relative-equilibrium detection.
     """
-    config0 = as_configuration(config0)
-    m = as_mass_vector(m)
+    config0, m = _bodies(config0, m)
     qcm = center_of_mass(config0, m)
     if float(np.hypot(*qcm)) > 1e-12:
         raise CMNotAtOrigin(f"|q_cm| = {float(np.hypot(*qcm)):.3e} exceeds 1e-12")

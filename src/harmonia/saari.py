@@ -22,9 +22,9 @@ import numpy as np
 from .core import (
     PlanarConfiguration,
     PotentialSpec,
-    _pair_indices,
+    _bodies,
+    _pair_offsets,
     as_configuration,
-    as_mass_vector,
     rotation,
 )
 from .dynamics import (
@@ -122,37 +122,30 @@ def rigid_fit(config, ref, m, allow_reflection: bool = True) -> RigidFitResult:
     body at the origin leaves the map undetermined; the identity is
     returned and the residual is computed directly.
     """
-    a = as_configuration(config).q
+    config, m = _bodies(config, m)
+    a = config.q
     b = as_configuration(ref).q
-    m = as_mass_vector(m)
     if a.shape != b.shape:
         raise ValidationError("ref", "configurations must have the same body count")
-    if a.shape[0] != m.n:
-        raise ValidationError("q", "configuration and masses disagree in length")
     w = m.m
 
-    def misfit_sq(omega: np.ndarray) -> float:
-        d = a - b @ omega.T
-        return float(w @ (d * d).sum(axis=1))
+    def best_rotation(c: np.ndarray):
+        # the rotation of c onto a, its angle in closed form; the misfit is then
+        # evaluated directly so exact fits come out at roundoff, not sqrt(eps)
+        dot = float(w @ (a[:, 0] * c[:, 0] + a[:, 1] * c[:, 1]))
+        cross = float(w @ (a[:, 1] * c[:, 0] - a[:, 0] * c[:, 1]))
+        omega = rotation(math.atan2(cross, dot) if (dot, cross) != (0.0, 0.0) else 0.0)
+        d = a - c @ omega.T
+        return omega, float(w @ (d * d).sum(axis=1))
 
-    # optimal angle per branch in closed form; the misfit itself is then
-    # evaluated directly so exact fits come out at roundoff, not sqrt(eps)
-    dot = float(w @ (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]))
-    cross = float(w @ (a[:, 1] * b[:, 0] - a[:, 0] * b[:, 1]))
-    omega = rotation(math.atan2(cross, dot) if (dot, cross) != (0.0, 0.0) else 0.0)
-    best = misfit_sq(omega)
+    omega, best = best_rotation(b)
     sign = 1
     if allow_reflection:
-        dot_r = float(w @ (a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1]))
-        cross_r = float(w @ (a[:, 1] * b[:, 0] + a[:, 0] * b[:, 1]))
-        angle_r = math.atan2(cross_r, dot_r) if (dot_r, cross_r) != (0.0, 0.0) else 0.0
-        omega_r = rotation(angle_r) @ np.diag([1.0, -1.0])
-        trial = misfit_sq(omega_r)
+        # the reflection Omega diag(1, -1) of ref is the rotation Omega of its mirror image
+        omega_r, trial = best_rotation(b * [1.0, -1.0])
         if trial < best:
-            omega, best, sign = omega_r, trial, -1
-
-    residual = math.sqrt(best / m.total)
-    return RigidFitResult(omega, residual, sign)
+            omega, best, sign = omega_r @ np.diag([1.0, -1.0]), trial, -1
+    return RigidFitResult(omega, math.sqrt(best / m.total), sign)
 
 
 def inertia_variation(traj: Trajectory) -> float:
@@ -168,14 +161,9 @@ def _pair_distance_variations(traj: Trajectory):
     """Largest swing of a pair distance, its 1-based pair, and the (S, P) distances.
 
     Column p holds r_ij over the samples for the p-th pair i < j of
-    ``core._pair_indices``, in row-major order.
+    ``core._pair_offsets``, in row-major order.
     """
-    i, j = _pair_indices(traj.m.n)
-    x = traj.q[:, :, 0]
-    y = traj.q[:, :, 1]
-    dx = x[:, i] - x[:, j]
-    dy = y[:, i] - y[:, j]
-    dist = np.sqrt(dx * dx + dy * dy)
+    i, j, _, _, dist = _pair_offsets(traj.q)
     spread = dist.max(axis=0) - dist.min(axis=0)
     worst = float(spread.max())
     # deterministic certificate: among near-ties take the first pair by label
@@ -281,12 +269,10 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
     witness_idx = int(np.argmin(np.abs(times - math.pi / 4.0)))
     witness_defect = rigid_fit(closed.q[witness_idx], closed.q[0], masses).residual
 
-    pos = closed.q
-    r14_sq = ((pos[:, 0, :] - pos[:, 3, :]) ** 2).sum(axis=1)
+    i, j, dx, dy, dist = _pair_offsets(closed.q)
+    r14_sq = (dx * dx + dy * dy)[:, 2]  # pair (1, 4), the third in row-major order
     swing = float(r14_sq.max() - r14_sq.min())
 
-    _, _, dist = _pair_distance_variations(closed)
-    i, j = _pair_indices(4)
     collision_pairs = [((int(i[p]) + 1, int(j[p]) + 1), float(times[int(dist[:, p].argmin())]))
                        for p in np.flatnonzero(dist.min(axis=0) <= 1e-9 * math.sqrt(k))]
 

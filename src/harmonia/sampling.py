@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .core import MassVector, PlanarConfiguration, _pair_indices
+from .core import MassVector, PlanarConfiguration, _pair_offsets
 from .errors import ValidationError
 
 SEED_ENV_VAR = "HARMONIA_SEED"
@@ -40,11 +40,6 @@ def random_configuration(rng: np.random.Generator, n: int, box: float = 10.0,
                          min_separation: float = 0.0) -> PlanarConfiguration:
     while True:
         q = rng.uniform(-box, box, size=(n, 2))
-        if min_separation <= 0.0:
-            break
-        i, j = _pair_indices(n)
-        dx = q[i, 0] - q[j, 0]
-        dy = q[i, 1] - q[j, 1]
-        if float(np.sqrt(dx * dx + dy * dy).min(initial=np.inf)) > min_separation:
+        if min_separation <= 0.0 or _pair_offsets(q)[4].min(initial=np.inf) > min_separation:
             break
     return PlanarConfiguration(q)

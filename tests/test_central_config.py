@@ -23,6 +23,7 @@ from harmonia import (
     total_mass,
     verify_continuum,
 )
+from harmonia.central_config import MAX_FAMILY_SAMPLES
 from conftest import equilateral
 
 HARMONIC = PotentialSpec.harmonic()
@@ -194,3 +195,12 @@ def test_verify_continuum_rejects_bad_input():
 
 def test_family_masses_are_unit():
     assert np.all(family_masses().m == 1.0)
+
+
+@pytest.mark.parametrize("n_samples", [MAX_FAMILY_SAMPLES + 1, 10 ** 9, 2.5, math.inf, math.nan])
+def test_verify_continuum_rejects_sample_counts_out_of_range(n_samples):
+    # rejected before any rigid fit: 10**9 samples would otherwise run for years
+    with pytest.raises(ValidationError) as err:
+        verify_continuum(1.0, n_samples)
+    assert err.value.field == "n_samples"
+    assert err.value.reason == f"need 2 to {MAX_FAMILY_SAMPLES} samples"

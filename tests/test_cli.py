@@ -3,7 +3,10 @@
 import io
 import json
 import math
+import os
+import stat
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -377,3 +380,84 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert exit_info.value.code == 0
     assert "usage: harmonia" in capsys.readouterr().out
+
+
+# -- simulate replaces --out only when it succeeds -----------------------------
+
+COLLIDING = {
+    "masses": [1.0, 1.0],
+    "positions": [[0.0, 0.0], [1e-13, 0.0]],
+    "potential": {"kind": "newtonian"},
+    "integrator": {"method": "rk4", "dt": 1e-3, "t_end": 1.0},
+}
+
+
+@pytest.mark.parametrize("doc", [MINIMAL, COLLIDING], ids=["no-integrator", "collision"])
+def test_failed_simulate_keeps_the_old_output(tmp_path, capsys, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_text(doc))
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"precious\n")
+    assert main(["simulate", str(path), "--out", str(out)]) == EXIT_ERROR
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert out.read_bytes() == b"precious\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "scenario.json"]
+
+
+def test_simulate_replaces_the_output_through_a_symlink(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_text(THEOREM2))
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["simulate", str(path), "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_text().startswith(csv_header(4) + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "scenario.json", "target.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_simulate_writes_a_pipe_in_place(tmp_path, capsys):
+    # a pipe or device such as /dev/stdout cannot be replaced by a rename
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_text(dict(MINIMAL, integrator={"method": "rk4", "dt": 0.5,
+                                                            "t_end": 0.5})))
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["simulate", str(path), "--out", str(pipe)]) == EXIT_OK
+        data = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert data.splitlines()[0] == csv_header(2)
+    assert len(data.splitlines()) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "scenario.json"]
+
+
+# -- cc-check at scales where the gradients overflow ---------------------------
+
+@pytest.mark.parametrize("kind, scale", [("harmonic", 1e200), ("newtonian", 1e300)])
+def test_cc_check_reports_gradient_overflow(tmp_path, capsys, kind, scale):
+    doc = {"masses": [1.0, 1.0, 1.0],
+           "positions": [[0.0, scale], [-0.8 * scale, -0.5 * scale], [0.9 * scale, -0.4 * scale]],
+           "potential": {"kind": kind}}
+    path = tmp_path / "huge.json"
+    path.write_text(scenario_text(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["cc-check", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out.startswith("error: q: gradient overflow: |grad I| = inf")
+    assert len(captured.out.splitlines()) == 1
+    assert captured.err == ""
+
+
+def test_family_rejects_too_many_samples_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["family", "--k", "1", "--samples", "1025"]) == EXIT_ERROR
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "error: n_samples: need 2 to 1024 samples\n"

@@ -8,23 +8,32 @@ import pytest
 
 from harmonia import (
     CollisionSingularity,
+    IntegratorSpec,
     MassVector,
     MutualDistanceTable,
     PhaseState,
     PlanarConfiguration,
     PotentialSpec,
     ValidationError,
+    accelerations,
+    cc_residual,
     center_of_mass,
+    harmonic_flow,
     inertia_gradient,
+    integrate,
     kinetic_energy,
     moment_of_inertia,
     moment_of_inertia_cartesian,
     mutual_distances,
     potential_energy,
     potential_gradient,
+    refine_cc,
+    rigid_fit,
+    rotating_re_trajectory,
     total_energy,
     total_mass,
 )
+from harmonia.core import _pair_offsets, _pair_separations
 from conftest import central_difference_gradient
 
 TRIANGLE = PlanarConfiguration([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
@@ -335,3 +344,63 @@ def test_distance_tables_are_bit_identical_to_the_dense_form(rng):
             assert np.array_equal(mutual_distances(config).r, r)
             w = np.outer(masses.m, masses.m)
             assert moment_of_inertia(config, masses) == float((w * r * r).sum() / (2.0 * masses.total))
+
+
+# -- pair offsets over a stack of configurations -------------------------------
+
+def written_out_pair_offsets(q):
+    """The per-configuration offset formula as ``_pair_separations`` once wrote it."""
+    i, j = np.triu_indices(q.shape[0], 1)
+    x = q[:, 0]
+    y = q[:, 1]
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
+    return i, j, dx, dy, np.sqrt(dx * dx + dy * dy)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_pair_offsets_of_a_stack_match_each_sample(rng, n):
+    stack = rng.uniform(-10.0, 10.0, size=(25, n, 2))
+    i, j, dx, dy, r = _pair_offsets(stack)
+    assert dx.shape == dy.shape == r.shape == (25, n * (n - 1) // 2)
+    for s, q in enumerate(stack):
+        for single in (_pair_separations(NEWTONIAN, q), written_out_pair_offsets(q)):
+            for got, expected in zip((i, j, dx[s], dy[s], r[s]), single):
+                assert np.array_equal(got, expected)
+
+
+# -- one body-count gate for every operation on (configuration, masses) ---------
+
+def _state(config):
+    return PhaseState(config, np.zeros_like(config.q))
+
+
+GATED_OPERATIONS = {
+    "center_of_mass": lambda q, m: center_of_mass(q, m),
+    "moment_of_inertia": lambda q, m: moment_of_inertia(q, m),
+    "moment_of_inertia_cartesian": lambda q, m: moment_of_inertia_cartesian(q, m),
+    "potential_energy": lambda q, m: potential_energy(NEWTONIAN, q, m),
+    "potential_gradient": lambda q, m: potential_gradient(HARMONIC, q, m),
+    "inertia_gradient": lambda q, m: inertia_gradient(q, m),
+    "kinetic_energy": lambda q, m: kinetic_energy(_state(q), m),
+    # without the gate these two surfaced as numpy ValueError / IndexError
+    "accelerations-harmonic": lambda q, m: accelerations(HARMONIC, q, m),
+    "accelerations-newtonian": lambda q, m: accelerations(NEWTONIAN, q, m),
+    "integrate": lambda q, m: integrate(_state(q), IntegratorSpec("rk4", 0.1, 0.1), HARMONIC, m),
+    "harmonic_flow": lambda q, m: harmonic_flow(_state(q), m, [0.0, 1.0]),
+    "rotating_re_trajectory": lambda q, m: rotating_re_trajectory(q, m, [0.0, 1.0]),
+    "cc_residual": lambda q, m: cc_residual(q, m, HARMONIC),
+    "refine_cc": lambda q, m: refine_cc(q, m, HARMONIC, 1.0),
+    "rigid_fit": lambda q, m: rigid_fit(q, q, m),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(GATED_OPERATIONS))
+@pytest.mark.parametrize("config, masses", [(TRIANGLE, M4), (RHOMBUS, M3)],
+                         ids=["fewer-bodies", "more-bodies"])
+def test_body_count_mismatch_names_q(operation, config, masses):
+    with pytest.raises(ValidationError) as err:
+        GATED_OPERATIONS[operation](config, masses)
+    assert err.value.field == "q"
+    assert err.value.reason == \
+        f"configuration has {config.n} bodies but masses have {masses.n}"

@@ -7,13 +7,17 @@ that means to alter the output must update the hash and say why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from harmonia.cli import EXIT_OK, main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 STDOUT_SHA256 = {
     ("cc-check", "lagrange_newtonian.json"):
@@ -78,3 +82,13 @@ def test_stdout_is_byte_identical(tmp_path, capsys, verb, subject):
     assert sha256(out.encode()) == STDOUT_SHA256[verb, subject]
     if verb == "simulate":
         assert sha256((tmp_path / "out.csv").read_bytes()) == CSV_SHA256[subject]
+
+
+def test_module_entry_point_is_byte_identical():
+    # the real process: interpreter start-up, ``python -m`` and sys.exit(main())
+    proc = subprocess.run([sys.executable, "-m", "harmonia.cli", "reproduce", "theorem2"],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
+                          capture_output=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert sha256(proc.stdout) == STDOUT_SHA256["reproduce", "theorem2"]

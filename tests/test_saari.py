@@ -313,3 +313,44 @@ def test_verify_counterexample_rejects_bad_input(args, field):
     with pytest.raises(ValidationError) as err:
         verify_counterexample(*args)
     assert err.value.field == field
+
+
+def written_out_fit(a, b, w):
+    """The fit with its reflection branch written out by hand: (omega, residual, sign)."""
+    def misfit_sq(omega):
+        d = a - b @ omega.T
+        return float(w @ (d * d).sum(axis=1))
+
+    dot = float(w @ (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]))
+    cross = float(w @ (a[:, 1] * b[:, 0] - a[:, 0] * b[:, 1]))
+    omega = rotation(math.atan2(cross, dot) if (dot, cross) != (0.0, 0.0) else 0.0)
+    best, sign = misfit_sq(omega), 1
+    dot_r = float(w @ (a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1]))
+    cross_r = float(w @ (a[:, 1] * b[:, 0] + a[:, 0] * b[:, 1]))
+    angle_r = math.atan2(cross_r, dot_r) if (dot_r, cross_r) != (0.0, 0.0) else 0.0
+    omega_r = rotation(angle_r) @ np.diag([1.0, -1.0])
+    trial = misfit_sq(omega_r)
+    if trial < best:
+        omega, best, sign = omega_r, trial, -1
+    return omega, math.sqrt(best / float(w.sum())), sign
+
+
+def test_reflection_branch_is_bit_identical_to_the_written_out_fit(rng):
+    reflections = 0
+    for case in range(900):
+        n = int(rng.integers(2, 8))
+        a = rng.uniform(-5.0, 5.0, size=(n, 2))
+        masses = MassVector(rng.uniform(0.1, 10.0, size=n))
+        if case % 3 == 0:
+            b = rng.uniform(-5.0, 5.0, size=(n, 2))
+        elif case % 3 == 1:
+            b = a * ([1.0, -1.0] if case % 2 else [-1.0, 1.0])  # exact mirror image
+        else:
+            b = (a @ rotation(float(rng.uniform(0.0, 2.0 * math.pi))).T) * [1.0, -1.0]
+        omega, residual, sign = written_out_fit(a, b, masses.m)
+        fit = rigid_fit(a, b, masses)
+        assert np.array_equal(fit.omega, omega)
+        assert fit.residual == residual
+        assert fit.det_sign == sign
+        reflections += sign == -1
+    assert reflections >= 300

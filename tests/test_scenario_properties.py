@@ -5,7 +5,8 @@ on the scenario keys (whose numbers may be out of range) and from such
 objects with one value, at any depth, replaced by an arbitrary JSON
 value. For each one ``parse_scenario`` returns a Scenario
 or raises a HarmoniaError, and ``harmonia cc-check`` exits 0, 1 or 2 with
-no traceback.
+no traceback. Arbitrary bytes are fed to ``cc-check`` the same way. A
+numpy RuntimeWarning (an overflow the code did not handle) fails a draw.
 """
 
 import contextlib
@@ -80,6 +81,8 @@ def wrong_typed_objects(draw):
 
 documents = values | scenario_objects() | wrong_typed_objects()
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def scenario_path(tmp_path_factory):
@@ -96,6 +99,21 @@ def test_any_document_parses_or_fails_cleanly(scenario_path, doc):
     except HarmoniaError:
         pass
     scenario_path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["cc-check", str(scenario_path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 1:
+        assert out.getvalue().startswith("error: ")
+        assert len(out.getvalue().splitlines()) == 1
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.binary(max_size=256))
+def test_any_bytes_exit_cleanly(scenario_path, data):
+    scenario_path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["cc-check", str(scenario_path)])
