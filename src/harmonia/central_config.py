@@ -4,8 +4,10 @@ one-parameter isosceles family.
 A configuration is central when grad I = w2 * grad U for some scalar w2.
 The residual solves for w2 by least squares in exactly that orientation,
 so for the harmonic potential w2 = 2/M at every configuration. Refinement
-seeks a critical point of U restricted to the ellipsoid I = k by a
-projected-gradient line search that monitors the tangential gradient norm.
+seeks a critical point of U restricted to the ellipsoid I = k by a damped
+Newton iteration on the Lagrange conditions grad U = lam grad I, I = k,
+run in the center-of-mass frame; the Hessian of U comes from the pair
+kernel in ``core``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .core import (
     PlanarConfiguration,
     PotentialSpec,
     _bodies,
+    _centering_hessian,
+    _hessian_rows,
     inertia_gradient,
     moment_of_inertia,
     potential_energy,
@@ -30,6 +34,8 @@ from .saari import rigid_fit
 
 _DEGENERATE_EPS = 1e-14
 _INERTIA_REL_TOL = 1e-12
+# refine_cc refuses a target inertia that q_cm + x carries to fewer digits
+_RESOLVED_INERTIA_RTOL = 1e-8
 
 # verify_continuum fits every pair of samples: 523 776 rigid fits at this cap
 MAX_FAMILY_SAMPLES = 1024
@@ -100,70 +106,128 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
     return CCReport(residual, w2, residual <= tol, float(tol))
 
 
-def _rescale_to_inertia(q: np.ndarray, m: MassVector, k: float) -> np.ndarray:
-    inertia = moment_of_inertia(PlanarConfiguration(q), m)
+def _rescale_to_inertia(x: np.ndarray, m: MassVector, k: float) -> np.ndarray:
+    """Recentre ``x`` on its center of mass and scale it onto I = k."""
+    x = x - (m.m @ x) / m.total
+    inertia = moment_of_inertia(PlanarConfiguration(x), m)
     if inertia <= 0.0:
         raise DegenerateGradient("cannot rescale a total collision")
-    qcm = (m.m @ q) / m.total
-    return qcm + math.sqrt(k / inertia) * (q - qcm)
+    return math.sqrt(k / inertia) * x
 
 
-def _tangential_gradient(config: PlanarConfiguration, m: MassVector,
-                         potential: PotentialSpec) -> np.ndarray:
-    """Component of grad U orthogonal to grad I (tangent to {I = k})."""
-    gi = inertia_gradient(config, m)
-    gu = potential_gradient(potential, config, m)
-    denom = float((gi * gi).sum())
-    coef = float((gu * gi).sum()) / denom
-    return gu - coef * gi
+def _lagrange_residual(x: np.ndarray, m: MassVector, potential: PotentialSpec):
+    """grad I, the least-squares multiplier lam, and grad U - lam grad I at ``x``."""
+    gi = inertia_gradient(x, m)
+    gu = potential_gradient(potential, x, m)
+    lam = float((gu * gi).sum()) / float((gi * gi).sum())
+    return gi, lam, gu - lam * gi
+
+
+def _newton_step(x: np.ndarray, m: MassVector, potential: PotentialSpec, state) -> np.ndarray:
+    """Newton step of F(q, lam) = (grad U - lam grad I, I - k) at a CM-frame ``x``.
+
+    Solves the bordered Jacobian [[H_U - lam H_I, -grad I], [grad I^T, 0]];
+    every iterate is rescaled onto I = k, so the I - k entry of F is taken
+    as zero. F does not change under translation or rotation, so three gauge rows
+    (no shift of the center of mass, no rotation about it) and their
+    multiplier columns make the system square and regular at a
+    nondegenerate critical point.
+    """
+    gi, lam, f = state
+    n2 = 2 * m.n
+    gauge = np.zeros((3, n2))
+    gauge[0, 0::2] = m.m
+    gauge[1, 1::2] = m.m
+    gauge[2, 0::2] = -m.m * x[:, 1]
+    gauge[2, 1::2] = m.m * x[:, 0]
+    jac = np.zeros((n2 + 4, n2 + 4))
+    jac[:n2, :n2] = _hessian_rows(potential, x, m.m) - 2.0 * lam * _centering_hessian(m.m)
+    jac[:n2, n2] = -gi.ravel()
+    jac[n2, :n2] = gi.ravel()
+    jac[:n2, n2 + 1:] = gauge.T
+    jac[n2 + 1:, :n2] = gauge
+    rhs = np.zeros(n2 + 4)
+    rhs[:n2] = -f.ravel()
+    return np.linalg.solve(jac, rhs)[:n2].reshape(-1, 2)
+
+
+def _damped_newton(x: np.ndarray, m: MassVector, potential: PotentialSpec, k: float, state):
+    """The first of the Newton step and its halvings (at most 30) that lowers |F|.
+
+    Each trial is rescaled onto I = k before |F| is measured. Returns the
+    new iterate with its ``_lagrange_residual``, or None when no trial does
+    better (or the Jacobian is singular, at a degenerate critical point).
+    """
+    try:
+        step = _newton_step(x, m, potential, state)
+    except np.linalg.LinAlgError:
+        return None
+    f0 = float(np.linalg.norm(state[2]))
+    for halving in range(30):
+        try:
+            trial = _rescale_to_inertia(x + 0.5 ** halving * step, m, k)
+            trial_state = _lagrange_residual(trial, m, potential)
+        except (CollisionSingularity, DegenerateGradient):  # a trial through a collision
+            continue
+        if float(np.linalg.norm(trial_state[2])) < f0:
+            return trial, trial_state
+    return None
 
 
 def refine_cc(config0, m, potential: PotentialSpec, k: float,
               max_iter: int = 200, tol: float = 1e-10) -> PlanarConfiguration:
     """Refine a configuration to a central configuration on {I = k}.
 
-    Projected-gradient search: rescale about the center of mass onto the
-    ellipsoid, then repeatedly step along the tangential gradient of U
-    with a backtracking halving line search (initial step 0.1, at most 30
-    halvings) that accepts whichever orientation shrinks the tangential
-    gradient norm. Critical points may be maxima of U on the ellipsoid
-    (the Lagrange configuration is), so both orientations are tried.
+    Damped Newton iteration on the Lagrange conditions grad U = lam grad I,
+    I = k (``_damped_newton``). The start is rescaled about its center of
+    mass q_cm onto the ellipsoid, and the iterates live in the q_cm frame:
+    q_cm is added back only to test and return a configuration, so a start
+    far from the origin loses no digits in its pair offsets. Newton's
+    method is blind to the kind of critical point, so maxima of U on the
+    ellipsoid (the Lagrange configuration is one) are found as readily as
+    minima.
+
+    Takes at most ``max_iter`` steps and judges convergence by
+    ``cc_residual`` of the configuration it returns. NoConvergence carries
+    the steps taken and that residual. Raises ValidationError on ``q``
+    when the start's inertia overflows, and on ``k`` when q_cm is so large
+    that a configuration of inertia k cannot be told apart from its
+    rounding.
     """
     config0, m = _bodies(config0, m)
     if not np.isfinite(k) or k <= 0.0:
         raise ValidationError("k", "must be positive")
-    if moment_of_inertia(config0, m) <= 0.0:
+    with np.errstate(over="ignore"):
+        inertia = moment_of_inertia(config0, m)
+    if not math.isfinite(inertia):
+        raise ValidationError("q", f"inertia overflow: I = {inertia:.3e}")
+    if inertia <= 0.0:
         raise DegenerateGradient("starting configuration is a total collision")
 
-    q = _rescale_to_inertia(np.array(config0.q), m, k)
-    for _ in range(max_iter):
-        current = PlanarConfiguration(q)
+    q = config0.q
+    qcm = (m.m @ q) / m.total
+    x = math.sqrt(k / inertia) * (q - qcm)
+    current = PlanarConfiguration(qcm + x)
+    if not abs(moment_of_inertia(current, m) - k) <= _RESOLVED_INERTIA_RTOL * k:
+        raise ValidationError(
+            "k", f"inertia {k!r} is lost in rounding at center of mass "
+                 f"({qcm[0]:.3e}, {qcm[1]:.3e})")
+    state = None
+    for iteration in range(max_iter + 1):
         report = cc_residual(current, m, potential, tol)
         if report.is_cc:
             return current
-        direction = _tangential_gradient(current, m, potential)
-        f0 = float(np.linalg.norm(direction))
-        moved = False
-        for sign in (-1.0, 1.0):
-            step = 0.1
-            for _ in range(30):
-                trial = _rescale_to_inertia(q + sign * step * direction, m, k)
-                try:
-                    f1 = float(np.linalg.norm(
-                        _tangential_gradient(PlanarConfiguration(trial), m, potential)))
-                except CollisionSingularity:
-                    f1 = math.inf
-                if f1 < f0:
-                    q = trial
-                    moved = True
-                    break
-                step *= 0.5
-            if moved:
-                break
-        if not moved:
-            raise NoConvergence(
-                f"line search stalled at residual {report.residual:.3e}")
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
+        if iteration == max_iter:
+            raise NoConvergence(f"no convergence after {max_iter} iterations",
+                                iteration, report.residual)
+        if state is None:
+            state = _lagrange_residual(x, m, potential)
+        moved = _damped_newton(x, m, potential, k, state)
+        if moved is None:
+            raise NoConvergence(f"line search stalled at residual {report.residual:.3e}",
+                                iteration, report.residual)
+        x, state = moved
+        current = PlanarConfiguration(qcm + x)
 
 
 def theorem1_family(k: float, eta: float) -> PlanarConfiguration:

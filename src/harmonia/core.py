@@ -377,6 +377,43 @@ def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) ->
     return grad
 
 
+def _centering_hessian(mass: np.ndarray) -> np.ndarray:
+    """(diag m - m m^T / M) kron I_2: the Hessian of I is twice this, of harmonic U M times."""
+    block = np.diag(mass) - np.outer(mass, mass) / float(mass.sum())
+    return np.kron(block, np.eye(2))
+
+
+def _hessian_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Exact Hessian of the potential, shape (2n, 2n), coordinate 2i + c for body i.
+
+    Each pair i < j adds the 2x2 block B = c I_2 + (c'/r) d d^T, with
+    d = q_i - q_j and c(r) the coefficient of ``_gradient_rows``, to the
+    diagonal blocks (i, i) and (j, j), and -B to (i, j) and (j, i).
+    """
+    if potential.kind == HARMONIC:
+        return float(mass.sum()) * _centering_hessian(mass)
+    i, j, dx, dy, r = _pair_separations(potential, q)
+    w = mass[i] * mass[j]
+    if potential.kind == NEWTONIAN:
+        c = w / (r * r * r)
+        c_over_r = -3.0 * c / (r * r)
+    else:
+        # the pass-through r = 1 of _gradient_rows; d d^T = 0 at a coincident pair
+        alpha = potential.exponent
+        rr = r + (r == 0.0)
+        c = (potential.coupling * alpha) * w * rr ** (alpha - 2.0)
+        c_over_r = (alpha - 2.0) * c / (rr * rr)
+    d = np.stack([dx, dy], axis=-1)
+    outer = d[:, :, None] * d[:, None, :]
+    block = c[:, None, None] * np.eye(2) + c_over_r[:, None, None] * outer
+    n = q.shape[0]
+    hess = np.zeros((n, n, 2, 2))
+    hess[i, j] = hess[j, i] = -block
+    # every block row sums to zero, since U does not change under translation
+    hess[np.arange(n), np.arange(n)] = -hess.sum(axis=1)
+    return hess.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+
 def potential_gradient(potential: PotentialSpec, config, m) -> np.ndarray:
     """Exact gradient of the potential energy, one (d/dx, d/dy) row per body.
 

@@ -36,7 +36,16 @@ class DegenerateGradient(HarmoniaError):
 
 
 class NoConvergence(HarmoniaError):
-    """Iterative refinement exhausted its iteration budget."""
+    """Iterative refinement stopped short of its tolerance.
+
+    ``iterations`` counts the steps taken and ``residual`` is the
+    central-configuration residual of the last iterate.
+    """
+
+    def __init__(self, message: str, iterations: int, residual: float):
+        self.iterations = iterations
+        self.residual = residual
+        super().__init__(message)
 
 
 class ZeroInertia(HarmoniaError):

@@ -201,9 +201,19 @@ def saari_check(traj: Trajectory, tol_inertia: float = 1e-8,
     varying_inertia          I moves by more than tol_inertia (relative)
     relative_equilibrium     I constant and the rigid fit succeeds
     constant_inertia_not_re  I constant yet no orthogonal map fits
+
+    Raises ValidationError on ``q`` when the inertia variation or the
+    rigidity defect is not finite (positions too far out for doubles),
+    since no class can be read from NaN.
     """
-    ivar = inertia_variation(traj)
-    rigidity = is_relative_equilibrium(traj, tol_rigidity)
+    # an overflow shows up in the two numbers; finite ones are meaningful
+    with np.errstate(over="ignore", invalid="ignore"):
+        ivar = inertia_variation(traj)
+        rigidity = is_relative_equilibrium(traj, tol_rigidity)
+    if not math.isfinite(ivar + rigidity.defect):
+        raise ValidationError(
+            "q", f"analysis overflow: inertia_variation = {ivar:.3e}, "
+                 f"rigidity_defect = {rigidity.defect:.3e}")
     if ivar > tol_inertia:
         classification = VARYING_INERTIA
     elif rigidity.is_re:

@@ -1,6 +1,7 @@
 """Central-configuration residuals, refinement, and the isosceles family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,8 +110,94 @@ def test_refine_reports_no_convergence(rng):
     target = equilateral()
     k = moment_of_inertia(target, M3)
     jittered = PlanarConfiguration(target.q + rng.uniform(-0.05, 0.05, size=(3, 2)))
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence) as err:
         refine_cc(jittered, M3, NEWTONIAN, k, max_iter=1, tol=1e-14)
+    assert str(err.value) == "no convergence after 1 iterations"
+    assert err.value.iterations == 1
+    assert 1e-14 < err.value.residual < 1e-2
+
+
+def test_refine_reports_a_stalled_line_search():
+    # no configuration meets tol = 0, so Newton runs down to rounding and stalls there
+    start = PlanarConfiguration([[0.02, -0.01], [1.03, 0.04], [0.48, 0.83]])
+    with pytest.raises(NoConvergence) as err:
+        refine_cc(start, M3, NEWTONIAN, 1.0, tol=0.0)
+    assert str(err.value).startswith("line search stalled at residual ")
+    assert 1 <= err.value.iterations < 20
+    assert 0.0 < err.value.residual <= 1e-12
+
+
+def test_refine_stalls_on_a_singular_newton_system(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    start = PlanarConfiguration([[0.02, -0.01], [1.03, 0.04], [0.48, 0.83]])
+    with pytest.raises(NoConvergence) as err:
+        refine_cc(start, M3, NEWTONIAN, 1.0)
+    assert str(err.value).startswith("line search stalled at residual ")
+    assert err.value.iterations == 0
+
+
+NEAR_LAGRANGE = np.array([[0.0, 0.0], [1.02, 0.01], [0.5, 0.85]])
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e6])
+def test_refine_far_from_the_origin(offset):
+    # iterates live in the center-of-mass frame, so the offset costs only the
+    # rounding of the returned positions, not the convergence
+    near = refine_cc(NEAR_LAGRANGE, M3, NEWTONIAN, 1.0)
+    far = refine_cc(NEAR_LAGRANGE + [offset, 0.0], M3, NEWTONIAN, 1.0)
+    assert cc_residual(far, M3, NEWTONIAN).residual <= 1e-10
+    ulps = 4.0 * np.spacing(offset)
+    assert abs(moment_of_inertia(far, M3) - 1.0) <= 1e-12 + 4.0 * ulps
+    assert far.q - [offset, 0.0] == pytest.approx(near.q, abs=1e-9 + ulps)
+    start_cm = NEAR_LAGRANGE.mean(axis=0) + [offset, 0.0]
+    assert far.q.mean(axis=0) == pytest.approx(start_cm, abs=ulps)
+
+
+@pytest.mark.parametrize("scale, field, message", [
+    (1e150, "k", "inertia 1.0 is lost in rounding at center of mass (5.067e+149, 2.867e+149)"),
+    (1e200, "q", "inertia overflow: I = inf"),
+])
+def test_refine_refuses_positions_out_of_range(scale, field, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            refine_cc(NEAR_LAGRANGE * scale, M3, NEWTONIAN, 1.0)
+    assert err.value.field == field
+    assert err.value.reason == message
+
+
+def cc_search_starts(seed):
+    """The cc_search benchmark's 15 refine starts for ``seed``, built from its recipe.
+
+    Unit-mass regular n-gons on the unit circle, n = 3, 4, 5, plus uniform
+    noise of half-width 0.02 on every coordinate: two starts per body count
+    under the Newtonian and power alpha = -2 potentials, one under alpha = 1.5.
+    """
+    rng = np.random.default_rng(seed)
+    starts = []
+    for potential, copies in ((NEWTONIAN, 2), (PotentialSpec.power(-2.0, 1.0), 2),
+                              (PotentialSpec.power(1.5, 1.0), 1)):
+        for n in (3, 4, 5):
+            angle = 2.0 * math.pi * np.arange(n) / n
+            polygon = np.column_stack([np.cos(angle), np.sin(angle)])
+            for _ in range(copies):
+                noise = rng.uniform(-0.02, 0.02, size=(n, 2))
+                starts.append((potential, polygon + noise))
+    return starts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_refine_converges_from_every_cc_search_start(seed):
+    starts = cc_search_starts(seed)
+    assert len(starts) == 15
+    for potential, q in starts:
+        masses = MassVector(np.ones(len(q)))
+        refined = refine_cc(q, masses, potential, 1.0)
+        assert cc_residual(refined, masses, potential).residual <= 1e-10
+        assert abs(moment_of_inertia(refined, masses) - 1.0) <= 1e-12
 
 
 def test_family_endpoints():

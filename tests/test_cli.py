@@ -461,3 +461,22 @@ def test_family_rejects_too_many_samples_at_once(capsys):
     assert main(["family", "--k", "1", "--samples", "1025"]) == EXIT_ERROR
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == "error: n_samples: need 2 to 1024 samples\n"
+
+
+def test_saari_reports_non_finite_analysis(tmp_path, capsys):
+    scale = 1e200
+    doc = {"masses": [1.0, 1.0, 1.0],
+           "positions": [[0.0, scale], [-scale, 0.0], [scale, 0.3 * scale]],
+           "potential": {"kind": "newtonian"},
+           "integrator": {"method": "verlet", "dt": 0.1, "t_end": 0.3}}
+    path = tmp_path / "huge.json"
+    path.write_text(scenario_text(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["saari", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ("error: q: analysis overflow: inertia_variation = nan, "
+                            "rigidity_defect = nan\n")
+    assert captured.err == ""
+

@@ -33,7 +33,7 @@ from harmonia import (
     total_energy,
     total_mass,
 )
-from harmonia.core import _pair_offsets, _pair_separations
+from harmonia.core import _centering_hessian, _hessian_rows, _pair_offsets, _pair_separations
 from conftest import central_difference_gradient
 
 TRIANGLE = PlanarConfiguration([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
@@ -300,6 +300,40 @@ def test_pair_kernel_matches_dense_oracle(potential, n, draw_system):
         energy = potential_energy(potential, config, masses)
         assert abs(energy - dense_terms(potential, config.q, masses.m, gradient=False)) \
             <= 1e-13 * abs(energy)
+
+
+def central_difference_jacobian(gradient, q, h=1e-6):
+    """Central finite differences of an (n, 2)-valued gradient, one column per coordinate."""
+    columns = []
+    for idx in np.ndindex(q.shape):
+        plus = q.copy()
+        plus[idx] += h
+        minus = q.copy()
+        minus[idx] -= h
+        columns.append((gradient(plus) - gradient(minus)).ravel() / (2.0 * h))
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("potential", [HARMONIC] + SINGULAR_AND_POWER,
+                         ids=lambda p: f"{p.kind}{p.exponent or ''}")
+def test_pair_hessian_matches_finite_differences(potential, n, draw_system):
+    for _ in range(3):
+        config, masses = draw_system(n, min_separation=0.5)
+        hess = _hessian_rows(potential, config.q, masses.m)
+        assert hess.shape == (2 * n, 2 * n)
+        assert np.array_equal(hess, hess.T)
+        expected = central_difference_jacobian(
+            lambda q: potential_gradient(potential, q, masses), config.q)
+        np.testing.assert_allclose(hess, expected, rtol=1e-6,
+                                   atol=1e-6 * np.abs(expected).max())
+
+
+def test_inertia_hessian_is_twice_the_centering_matrix(draw_system):
+    config, masses = draw_system(4)
+    expected = central_difference_jacobian(lambda q: inertia_gradient(q, masses), config.q)
+    np.testing.assert_allclose(2.0 * _centering_hessian(masses.m), expected,
+                               rtol=1e-6, atol=1e-9)
 
 
 def test_nonsingular_power_passes_through_coincident_pairs():
