@@ -54,7 +54,6 @@ from .central_config import (
     cc_residual,
     family_masses,
     refine_cc,
-    rotationally_equivalent,
     theorem1_family,
     verify_continuum,
 )
@@ -73,7 +72,6 @@ from .saari import (
     verify_counterexample,
 )
 from .errors import (
-    CMNotAtOrigin,
     CollisionSingularity,
     DegenerateGradient,
     HarmoniaError,
@@ -83,6 +81,6 @@ from .errors import (
     ValidationError,
     ZeroInertia,
 )
-from .sampling import corpus_rng, corpus_seed, random_configuration, random_masses
+from .sampling import corpus_seed, random_configuration, random_masses
 
 __version__ = "0.1.0"

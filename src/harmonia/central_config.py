@@ -23,10 +23,10 @@ from .core import (
     PotentialSpec,
     _bodies,
     _centering_hessian,
+    _cm_offsets,
     _hessian_rows,
     inertia_gradient,
     moment_of_inertia,
-    potential_energy,
     potential_gradient,
 )
 from .errors import CollisionSingularity, DegenerateGradient, NoConvergence, ValidationError
@@ -85,8 +85,8 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
 
     Solves grad I = w2 grad U for the scalar w2 and reports the
     scale-insensitive residual |grad I - w2 grad U| / (1 + |grad I|).
-    Raises ValidationError on ``q`` when a gradient norm overflows (the
-    positions lie too far out for doubles), and DegenerateGradient when
+    Raises ValidationError on ``q`` when a gradient or its norm overflows
+    (the positions lie too far out for doubles), and DegenerateGradient when
     grad U vanishes (total collision or an exact critical point of U),
     where w2 is undetermined.
     """
@@ -94,9 +94,14 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
     # an overflow shows up in the norms; finite norms bound everything after them
     with np.errstate(over="ignore", invalid="ignore"):
         gi = inertia_gradient(config, m).ravel()
-        gu = potential_gradient(potential, config, m).ravel()
         ni = float(np.linalg.norm(gi))
-        nu = float(np.linalg.norm(gu))
+    try:
+        # raised, since an overflowing r^3 would round a pair force to 0, not to inf
+        with np.errstate(over="raise", invalid="ignore"):
+            gu = potential_gradient(potential, config, m).ravel()
+            nu = float(np.linalg.norm(gu))
+    except FloatingPointError:
+        nu = math.inf
     if not math.isfinite(ni + nu):
         raise ValidationError("q", f"gradient overflow: |grad I| = {ni:.3e}, |grad U| = {nu:.3e}")
     if nu <= _DEGENERATE_EPS * (1.0 + ni):
@@ -108,7 +113,7 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
 
 def _rescale_to_inertia(x: np.ndarray, m: MassVector, k: float) -> np.ndarray:
     """Recentre ``x`` on its center of mass and scale it onto I = k."""
-    x = x - (m.m @ x) / m.total
+    _, x = _cm_offsets(x, m.m)
     inertia = moment_of_inertia(PlanarConfiguration(x), m)
     if inertia <= 0.0:
         raise DegenerateGradient("cannot rescale a total collision")
@@ -189,10 +194,11 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
 
     Takes at most ``max_iter`` steps and judges convergence by
     ``cc_residual`` of the configuration it returns. NoConvergence carries
-    the steps taken and that residual. Raises ValidationError on ``q``
-    when the start's inertia overflows, and on ``k`` when q_cm is so large
-    that a configuration of inertia k cannot be told apart from its
-    rounding.
+    the steps taken and that residual, and names the rounding floor at
+    q_cm when the stalled iterate is central only in the q_cm frame.
+    Raises ValidationError on ``q`` when the start's inertia overflows,
+    and on ``k`` when q_cm is so large that a configuration of inertia k
+    cannot be told apart from its rounding.
     """
     config0, m = _bodies(config0, m)
     if not np.isfinite(k) or k <= 0.0:
@@ -204,9 +210,8 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
     if inertia <= 0.0:
         raise DegenerateGradient("starting configuration is a total collision")
 
-    q = config0.q
-    qcm = (m.m @ q) / m.total
-    x = math.sqrt(k / inertia) * (q - qcm)
+    qcm, dq = _cm_offsets(config0.q, m.m)
+    x = math.sqrt(k / inertia) * dq
     current = PlanarConfiguration(qcm + x)
     if not abs(moment_of_inertia(current, m) - k) <= _RESOLVED_INERTIA_RTOL * k:
         raise ValidationError(
@@ -224,7 +229,11 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
             state = _lagrange_residual(x, m, potential)
         moved = _damped_newton(x, m, potential, k, state)
         if moved is None:
-            raise NoConvergence(f"line search stalled at residual {report.residual:.3e}",
+            floor = cc_residual(PlanarConfiguration(x), m, potential, tol)
+            why = (f": the limit is the rounding floor at the center of mass ({qcm[0]:.3e}, "
+                   f"{qcm[1]:.3e}), where the iterate's own residual is {floor.residual:.3e}"
+                   if floor.is_cc else "")
+            raise NoConvergence(f"line search stalled at residual {report.residual:.3e}{why}",
                                 iteration, report.residual)
         x, state = moved
         current = PlanarConfiguration(qcm + x)
@@ -250,18 +259,14 @@ def family_masses() -> MassVector:
     return MassVector(np.ones(3))
 
 
-def rotationally_equivalent(a, b, m, tol: float = 1e-9) -> bool:
-    """True when some rotation about the origin maps b onto a body by body."""
-    return rigid_fit(a, b, m, allow_reflection=False).residual <= tol
-
-
 def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumReport:
     """Sample the isosceles family and certify it as a genuine continuum.
 
     Draws eta uniformly in (0, pi/2] (the open end avoids the coincident
     pair at eta = 0). The verdict is true when every sample is a central
     configuration within ``tol``, has inertia k to 1e-12 relative, and no
-    two samples are rotationally equivalent. At most MAX_FAMILY_SAMPLES
+    rotation about the center of mass fits one sample onto another to a
+    ``rigid_fit`` residual of 1e-9. At most MAX_FAMILY_SAMPLES
     samples are accepted, since the pairwise check grows as n_samples^2.
     ``theorem1_family`` checks k.
     """
@@ -283,15 +288,13 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
         inertia = moment_of_inertia(config, masses)
         if abs(inertia - k) > _INERTIA_REL_TOL * k:
             failures.append(f"eta={eta:.6f}: inertia {inertia!r} misses k={k!r}")
+    _, offsets = _cm_offsets(np.stack([s.config.q for s in samples]), masses.m)
+    shapes = [PlanarConfiguration(x) for x in offsets]
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
-            if rotationally_equivalent(samples[i].config, samples[j].config, masses):
+            if rigid_fit(shapes[i], shapes[j], masses,
+                         allow_reflection=False).residual <= 1e-9:
                 failures.append(
                     f"samples eta={samples[i].eta:.6f} and eta={samples[j].eta:.6f} "
                     "are rotationally equivalent")
     return ContinuumReport(float(k), tuple(samples), not failures, tuple(failures))
-
-
-def family_potential_energy(sample: FamilySample) -> float:
-    """Potential energy of a family member (constant (3/2) k along the family)."""
-    return potential_energy(PotentialSpec.harmonic(), sample.config, family_masses())

@@ -62,7 +62,7 @@ from .dynamics import (
     integrate,
 )
 from .errors import HarmoniaError, ParseError, ValidationError, ZeroInertia
-from .saari import inertia_variation, saari_check, verify_counterexample
+from .saari import _require_finite, inertia_variation, saari_check, verify_counterexample
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -317,17 +317,20 @@ def _replace_on_success(path: str, write):
 
 
 def cmd_simulate(scenario: Scenario, sink) -> RunReport:
-    """Integrate the scenario and stream the sampled trajectory as CSV."""
+    """Integrate the scenario and, once its measures are finite, stream it as CSV."""
     traj = _integrate(scenario, "simulate")
-    write_trajectory_csv(traj, sink)
     report = RunReport("simulate")
     report.measurements["samples"] = len(traj)
     report.measurements["t_final"] = float(traj.times[-1])
-    report.measurements["energy_drift"] = energy_drift(traj)
-    try:
-        report.measurements["inertia_variation"] = inertia_variation(traj)
-    except ZeroInertia:
-        report.details.append("inertia_variation undefined: zero inertia at start")
+    with np.errstate(over="ignore", invalid="ignore"):
+        analysis = {"energy_drift": energy_drift(traj)}
+        try:
+            analysis["inertia_variation"] = inertia_variation(traj)
+        except ZeroInertia:
+            report.details.append("inertia_variation undefined: zero inertia at start")
+    _require_finite(**analysis)
+    report.measurements.update(analysis)
+    write_trajectory_csv(traj, sink)
     return report
 
 

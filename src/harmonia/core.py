@@ -285,11 +285,16 @@ def _pair_separations(potential: PotentialSpec, q: np.ndarray):
     return i, j, dx, dy, r
 
 
+def _cm_offsets(q: np.ndarray, mass: np.ndarray):
+    """Center of mass q_cm (..., 2) and offsets q - q_cm of ``q`` (..., n, 2), where
+    ``q`` is one configuration (or set of velocities) or a stack of them."""
+    q_cm = (mass @ q) / float(mass.sum())
+    return q_cm, q - q_cm[..., None, :]
+
+
 def _mass_weighted_offsets(q: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """m_i (q_i - q_cm), shared by the harmonic and inertia gradients."""
-    total = float(mass.sum())
-    qcm = (mass @ q) / total
-    return mass[:, None] * (q - qcm)
+    return mass[:, None] * _cm_offsets(q, mass)[1]
 
 
 def total_mass(m) -> float:
@@ -300,7 +305,7 @@ def total_mass(m) -> float:
 def center_of_mass(config, m) -> np.ndarray:
     """Mass-weighted mean position, shape (2,)."""
     config, m = _bodies(config, m)
-    return (m.m @ config.q) / m.total
+    return _cm_offsets(config.q, m.m)[0]
 
 
 def mutual_distances(config) -> MutualDistanceTable:

@@ -23,14 +23,14 @@ from .core import (
     PhaseState,
     PotentialSpec,
     _bodies,
+    _cm_offsets,
     _frozen,
     _gradient_rows,
     _inertia,
     _potential,
     as_mass_vector,
-    center_of_mass,
 )
-from .errors import CMNotAtOrigin, NonFiniteState, ValidationError
+from .errors import NonFiniteState, ValidationError
 
 VELOCITY_VERLET = "velocity_verlet"
 RK4 = "rk4"
@@ -246,10 +246,8 @@ def harmonic_flow(state0: PhaseState, m, times) -> Trajectory:
     _, m = _bodies(state0.config, m)
     times = np.array(times, dtype=float, ndmin=1)
     omega = math.sqrt(m.total)
-    q_cm = (m.m @ state0.config.q) / m.total
-    v_cm = (m.m @ state0.v) / m.total
-    dq = state0.config.q - q_cm
-    dv = state0.v - v_cm
+    q_cm, dq = _cm_offsets(state0.config.q, m.m)
+    v_cm, dv = _cm_offsets(state0.v, m.m)
     tau = (times - state0.t)[:, None, None]
     c = np.cos(omega * tau)
     s = np.sin(omega * tau)
@@ -288,16 +286,13 @@ def rhombus_trajectory(k: float, times) -> Trajectory:
 def rotating_re_trajectory(config0, m, times) -> Trajectory:
     """Rigidly rotating harmonic solution through ``config0``, sampled at the given times.
 
-    With the center of mass at the origin every body obeys
-    q''_i = -M q_i, so starting each body with the tangential velocity
-    sqrt(M) J q_i(0), J the quarter turn, gives q_i(t) = R(sqrt(M) t) q_i(0):
-    an exact solution whose mutual distances stay fixed, the canonical
-    positive control for relative-equilibrium detection.
+    Every body obeys q''_i = -M (q_i - q_cm), so starting each body with
+    the tangential velocity sqrt(M) J (q_i(0) - q_cm), J the quarter turn,
+    gives q_i(t) = q_cm + R(sqrt(M) t) (q_i(0) - q_cm): a rotation about
+    the resting center of mass whose mutual distances stay fixed, the
+    canonical positive control for relative-equilibrium detection.
     """
     config0, m = _bodies(config0, m)
-    qcm = center_of_mass(config0, m)
-    if float(np.hypot(*qcm)) > 1e-12:
-        raise CMNotAtOrigin(f"|q_cm| = {float(np.hypot(*qcm)):.3e} exceeds 1e-12")
-    q0 = config0.q
-    v0 = math.sqrt(m.total) * np.column_stack([-q0[:, 1], q0[:, 0]])
+    _, dq = _cm_offsets(config0.q, m.m)
+    v0 = math.sqrt(m.total) * np.column_stack([-dq[:, 1], dq[:, 0]])
     return harmonic_flow(PhaseState(config0, v0), m, times)

@@ -26,10 +26,6 @@ class NonFiniteState(HarmoniaError):
     """Integration produced NaN or infinite coordinates."""
 
 
-class CMNotAtOrigin(HarmoniaError):
-    """Operation requires the center of mass at the origin."""
-
-
 class DegenerateGradient(HarmoniaError):
     """The potential gradient vanishes, so the central-configuration
     multiplier cannot be determined."""

@@ -1,15 +1,15 @@
 """Relative-equilibrium detection and the constant-inertia counterexample.
 
 A solution is a relative equilibrium when some time-dependent orthogonal
-matrix maps the initial configuration onto every later one. The detector
-fits the best orthogonal map about the origin (both determinant branches)
-in the mass-weighted least-squares sense; its residual is the rigidity
+matrix maps the initial offsets from the center of mass onto every later
+one. The detector fits the best such map (both determinant branches) in
+the mass-weighted least-squares sense; its residual is the rigidity
 defect. A trajectory with constant moment of inertia but positive defect
 certifies that constant inertia does not force rigid rotation.
 
 Trajectories are read as arrays: the inertia series is the one the
-trajectory computes once, rigid fits run sample by sample against the
-first sample, and pair distances are swept over all samples at once.
+trajectory computes once, center-of-mass offsets are fitted sample by
+sample against the first, and pair distances are swept all at once.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import (
     PlanarConfiguration,
     PotentialSpec,
     _bodies,
+    _cm_offsets,
     _pair_offsets,
     as_configuration,
     rotation,
@@ -112,15 +113,15 @@ class CounterexampleReport:
 
 
 def rigid_fit(config, ref, m, allow_reflection: bool = True) -> RigidFitResult:
-    """Mass-weighted orthogonal Procrustes fit about the origin.
+    """Mass-weighted orthogonal Procrustes fit of two point sets as given.
 
     Minimizes sum_i m_i |config_i - Omega ref_i|^2 over orthogonal Omega,
     searching the rotation branch and (unless ``allow_reflection`` is
-    false) the reflection branch; ties prefer the rotation. The fit is
-    taken about the origin, not the center of mass. The residual is
-    sqrt(min / M), a mass-weighted rms misfit. A reference with every
-    body at the origin leaves the map undetermined; the identity is
-    returned and the residual is computed directly.
+    false) the reflection branch; ties prefer the rotation. Omega turns
+    about the origin; a shape question passes offsets from the center of
+    mass. The residual is sqrt(min / M), a mass-weighted rms misfit. A
+    reference with every body at the origin leaves the map undetermined;
+    the identity is returned and the residual is computed directly.
     """
     config, m = _bodies(config, m)
     a = config.q
@@ -171,16 +172,26 @@ def _pair_distance_variations(traj: Trajectory):
     return worst, (int(i[first]) + 1, int(j[first]) + 1), dist
 
 
-def is_relative_equilibrium(traj: Trajectory, tol: float = 1e-6) -> RigidityResult:
-    """Decide whether the sampled trajectory is a rigid rotation.
+def _require_finite(**measures: float) -> None:
+    """Raise ValidationError on ``q`` naming every measure unless all are finite:
+    positions too far out for doubles overflow an analysis to inf or NaN."""
+    if not all(math.isfinite(value) for value in measures.values()):
+        raise ValidationError("q", "analysis overflow: " + ", ".join(
+            f"{name} = {value:.3e}" for name, value in measures.items()))
 
-    True when the supremum over samples of the rigid-fit residual against
-    the first sample stays below tol * sqrt(I(t0)). Also reports the cheap
-    necessary condition: the largest swing of any pair distance.
+
+def is_relative_equilibrium(traj: Trajectory, tol: float = 1e-6) -> RigidityResult:
+    """Decide whether the sampled trajectory is a rigid rotation about its center of mass.
+
+    True when the supremum over samples of the rigid-fit residual of the CM
+    offsets against the first sample's stays below tol * sqrt(I(t0)). Also
+    reports the cheap necessary condition: the largest swing of any pair distance.
     """
-    ref = PlanarConfiguration(traj.q[0])
+    _, offsets = _cm_offsets(traj.q, traj.m.m)
+    _require_finite(center_of_mass_offset=float(np.abs(offsets).max()))
+    ref = PlanarConfiguration(offsets[0])
     threshold = float(tol) * math.sqrt(float(traj.inertia[0]))
-    residuals = np.array([rigid_fit(q, ref, traj.m).residual for q in traj.q])
+    residuals = np.array([rigid_fit(x, ref, traj.m).residual for x in offsets])
     worst = int(residuals.argmax())
     defect = float(residuals[worst])
     worst_var, worst_pair, _ = _pair_distance_variations(traj)
@@ -206,14 +217,10 @@ def saari_check(traj: Trajectory, tol_inertia: float = 1e-8,
     rigidity defect is not finite (positions too far out for doubles),
     since no class can be read from NaN.
     """
-    # an overflow shows up in the two numbers; finite ones are meaningful
     with np.errstate(over="ignore", invalid="ignore"):
         ivar = inertia_variation(traj)
         rigidity = is_relative_equilibrium(traj, tol_rigidity)
-    if not math.isfinite(ivar + rigidity.defect):
-        raise ValidationError(
-            "q", f"analysis overflow: inertia_variation = {ivar:.3e}, "
-                 f"rigidity_defect = {rigidity.defect:.3e}")
+    _require_finite(inertia_variation=ivar, rigidity_defect=rigidity.defect)
     if ivar > tol_inertia:
         classification = VARYING_INERTIA
     elif rigidity.is_re:
@@ -277,7 +284,8 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
     # (c) rigidity defect, with the witness near t = pi/4
     rigidity = is_relative_equilibrium(closed, tol=1e-6)
     witness_idx = int(np.argmin(np.abs(times - math.pi / 4.0)))
-    witness_defect = rigid_fit(closed.q[witness_idx], closed.q[0], masses).residual
+    _, offsets = _cm_offsets(closed.q, masses.m)
+    witness_defect = rigid_fit(offsets[witness_idx], offsets[0], masses).residual
 
     i, j, dx, dy, dist = _pair_offsets(closed.q)
     r14_sq = (dx * dx + dy * dy)[:, 2]  # pair (1, 4), the third in row-major order

@@ -27,10 +27,6 @@ def corpus_seed(default: int = DEFAULT_SEED) -> int:
         raise ValidationError(SEED_ENV_VAR, "must be an integer") from None
 
 
-def corpus_rng(default: int = DEFAULT_SEED) -> np.random.Generator:
-    return np.random.default_rng(corpus_seed(default))
-
-
 def random_masses(rng: np.random.Generator, n: int, high: float = 10.0) -> MassVector:
     # flip the half-open interval so zero mass is excluded: values in (0, high]
     return MassVector(high - rng.uniform(0.0, high, size=n))

@@ -12,24 +12,33 @@ from harmonia import (
     NoConvergence,
     PlanarConfiguration,
     PotentialSpec,
+    Trajectory,
     ValidationError,
     cc_residual,
     family_masses,
+    is_relative_equilibrium,
     moment_of_inertia,
     mutual_distances,
     potential_energy,
     refine_cc,
-    rotationally_equivalent,
+    rigid_fit,
     theorem1_family,
     total_mass,
     verify_continuum,
 )
 from harmonia.central_config import MAX_FAMILY_SAMPLES
+from harmonia.core import _cm_offsets
 from conftest import equilateral
 
 HARMONIC = PotentialSpec.harmonic()
 NEWTONIAN = PotentialSpec.newtonian()
 M3 = MassVector([1.0, 1.0, 1.0])
+
+
+def rotationally_equivalent(a, b, m):
+    """The test ``verify_continuum`` applies: a rotation about the center of mass fits b onto a."""
+    a, b = (PlanarConfiguration(_cm_offsets(c.q, m.m)[1]) for c in (a, b))
+    return rigid_fit(a, b, m, allow_reflection=False).residual <= 1e-9
 
 
 def test_harmonic_everything_is_central(rng):
@@ -156,6 +165,24 @@ def test_refine_far_from_the_origin(offset):
     assert far.q.mean(axis=0) == pytest.approx(start_cm, abs=ulps)
 
 
+def test_refine_names_the_rounding_floor_at_a_far_center_of_mass():
+    # the iterate is central in the center-of-mass frame; adding q_cm = 1e6
+    # back rounds its offsets to a residual above tol
+    start = NEAR_LAGRANGE + 1e6
+    k = moment_of_inertia(start, M3)
+    with pytest.raises(NoConvergence) as err:
+        refine_cc(start, M3, NEWTONIAN, k)
+    message = str(err.value)
+    assert message.startswith("line search stalled at residual ")
+    assert ": the limit is the rounding floor at the center of mass " \
+           "(1.000e+06, 1.000e+06), where the iterate's own residual is " in message
+    assert err.value.residual > 1e-10
+    # a stall away from that floor names none
+    with pytest.raises(NoConvergence) as err:
+        refine_cc(NEAR_LAGRANGE, M3, NEWTONIAN, 1.0, tol=0.0)
+    assert "rounding floor" not in str(err.value)
+
+
 @pytest.mark.parametrize("scale, field, message", [
     (1e150, "k", "inertia 1.0 is lost in rounding at center of mass (5.067e+149, 2.867e+149)"),
     (1e200, "q", "inertia overflow: I = inf"),
@@ -232,6 +259,19 @@ def test_rotational_equivalence_basic(rng):
                                    theorem1_family(1.0, 0.4 + math.pi), M3)
     assert not rotationally_equivalent(theorem1_family(1.0, 0.3),
                                        theorem1_family(1.0, 0.7), M3)
+
+
+def test_rotational_equivalence_ignores_the_frame():
+    # a fit about the origin called both copies inequivalent to the original
+    config = theorem1_family(1.0, 0.4)
+    q_cm = _cm_offsets(config.q, M3.m)[0]
+    spun = config.translated(-q_cm).rotated(1.1).translated(q_cm)
+    assert rotationally_equivalent(config, config.translated([1e-3, 0.0]), M3)
+    assert rotationally_equivalent(config, spun, M3)
+    assert rotationally_equivalent(spun, config.translated([-7.0, 3.0]), M3)
+    copies = np.stack([config.q, config.translated([1e-3, 0.0]).q, spun.q])
+    traj = Trajectory([0.0, 1.0, 2.0], copies, np.zeros_like(copies), HARMONIC, M3)
+    assert is_relative_equilibrium(traj).defect <= 1e-15
 
 
 def test_distinct_family_members_have_distinct_base():

@@ -456,6 +456,23 @@ def test_cc_check_reports_gradient_overflow(tmp_path, capsys, kind, scale):
     assert captured.err == ""
 
 
+def test_cc_check_reports_pair_force_overflow(tmp_path, capsys):
+    # r^3 overflows while r does not: every Newtonian pair force would round to 0
+    scale = 1e150
+    doc = {"masses": [1.0, 1.0, 1.0],
+           "positions": [[0.0, scale], [-0.8 * scale, -0.5 * scale], [0.9 * scale, -0.4 * scale]],
+           "potential": {"kind": "newtonian"}}
+    path = tmp_path / "huge.json"
+    path.write_text(scenario_text(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["cc-check", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == "error: q: gradient overflow: |grad I| = 3.378e+150, |grad U| = inf\n"
+    assert captured.err == ""
+
+
 def test_family_rejects_too_many_samples_at_once(capsys):
     start = time.perf_counter()
     assert main(["family", "--k", "1", "--samples", "1025"]) == EXIT_ERROR
@@ -480,3 +497,41 @@ def test_saari_reports_non_finite_analysis(tmp_path, capsys):
                             "rigidity_defect = nan\n")
     assert captured.err == ""
 
+
+def test_saari_reports_center_of_mass_overflow(tmp_path, capsys):
+    # every coordinate is finite, but the mass-weighted sum behind q_cm is not
+    doc = {"masses": [1.0, 1.0, 1.0],
+           "positions": [[1.5e308, 0.0], [1.5e308, 1e300], [0.0, 1e307]],
+           "potential": {"kind": "newtonian"},
+           "integrator": {"method": "verlet", "dt": 0.1, "t_end": 0.3}}
+    path = tmp_path / "huge.json"
+    path.write_text(scenario_text(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["saari", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == "error: q: analysis overflow: center_of_mass_offset = inf\n"
+    assert captured.err == ""
+
+
+def test_simulate_reports_non_finite_analysis(tmp_path, capsys):
+    scale = 1e200
+    doc = {"masses": [1.0, 1.0, 1.0],
+           "positions": [[0.0, scale], [-scale, 0.0], [scale, 0.3 * scale]],
+           "potential": {"kind": "newtonian"},
+           "integrator": {"method": "verlet", "dt": 0.1, "t_end": 0.3}}
+    path = tmp_path / "huge.json"
+    path.write_text(scenario_text(doc))
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"precious\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ("error: q: analysis overflow: energy_drift = 0.000e+00, "
+                            "inertia_variation = nan\n")
+    assert captured.err == ""
+    assert out.read_bytes() == b"precious\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "out.csv"]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from harmonia import (
-    CMNotAtOrigin,
     IntegratorSpec,
     MassVector,
     NonFiniteState,
@@ -242,9 +241,16 @@ def test_rotating_solution_full_period():
     assert traj.q[-1] == pytest.approx(CENTERED_TRIANGLE.q, abs=1e-12)
 
 
-def test_rotating_solution_requires_centered_cm():
-    with pytest.raises(CMNotAtOrigin):
-        rotating_re_trajectory(equilateral(), MassVector([1.0, 1.0, 1.0]), [0.1])
+def test_rotating_solution_spins_about_its_own_cm():
+    # the equilateral triangle's center of mass is (0.5, sqrt(3)/6), off the origin
+    tri = equilateral()
+    q_cm = np.array([0.5, math.sqrt(3.0) / 6.0])
+    times = np.linspace(0.0, 2.0 * math.pi / math.sqrt(3.0), 101)
+    traj = rotating_re_trajectory(tri, M3, times)
+    expected = np.array([q_cm + (tri.q - q_cm) @ rotation(math.sqrt(3.0) * t).T
+                         for t in times])
+    assert float(np.abs(traj.q - expected).max()) <= 1e-14
+    assert float(np.abs(traj.v.sum(axis=1)).max()) <= 1e-14
 
 
 def test_rotating_control_matches_rotation_formula():

@@ -32,14 +32,22 @@ STDOUT_SHA256 = {
         "143ed4e9318c3aee70e5967f7cfd94708ee5871780052f4041545ed6e146634d",
     ("cc-refine", "two_body_harmonic.json"):
         "0c7e58870bf15d5ce4fb17cab571189cd2414c6fd94451de52939609056aba17",
+    ("cc-check", "two_body_rotating_drifting.json"):
+        "85d4fbbf3c5a35a04f03bf6d856940c7969824bb814c722aceac0cf2a9b764a0",
+    ("cc-refine", "two_body_rotating_drifting.json"):
+        "9afbcc2a0d9a6bfb88630e1d67ebadd4bfc99f52014f626abf8783e2787eccc3",
     ("saari", "theorem2_rhombus.json"):
         "a12844e1171820473c1ce6d45541605e5c9358d57f6c0736bf98d8227aec9a2c",
     ("saari", "two_body_harmonic.json"):
         "367b984b2138ebf72ac4bd9bc59a341cfec81ee02233cd2eccb177a96e86bebd",
+    ("saari", "two_body_rotating_drifting.json"):
+        "f68140672beffc2c4d2c05b0992a0ccb3af9a20a3ad919931360d8e630f7e58b",
     ("simulate", "theorem2_rhombus.json"):
         "ec76adc575e4e329f964698ea0190cf0370f8eace5f943c2a25fc246538300c9",
     ("simulate", "two_body_harmonic.json"):
         "474804fd0824831d25eed84a85616f87298bf5912df346824acbb47321154228",
+    ("simulate", "two_body_rotating_drifting.json"):
+        "f25bc233d9dcfe2e7ca7a0c2966b52b046cd724df8a1fc31ab85ef4b1ed53077",
     ("reproduce", "theorem1"):
         "fea9c32592f70b6cbd4eca89fd5e36393d8be8f846622aa88e97625d355c8f96",
     ("reproduce", "theorem2"):
@@ -53,6 +61,8 @@ CSV_SHA256 = {
         "59c2837fc5249dea3ac5d3e21b72898e8060b5bf85c42c2d3ab9a2056edb28a2",
     "two_body_harmonic.json":
         "18894d650766a5bc95d91547c23484cc91035b33d81ba8a6c855623e140fafef",
+    "two_body_rotating_drifting.json":
+        "d7e72f69ee1d51636b4b81eb0287cdb7fd50cc26ec03106fec0ba9790b43d8e9",
 }
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonia import (
     CONSTANT_INERTIA_NOT_RE,
@@ -199,6 +201,51 @@ def test_saari_report_consistency():
     assert report.inertia_variation <= report.tol_inertia
     assert report.rigidity_defect > report.tol_rigidity
     assert report.certificate_pair == (1, 4)
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.3])
+def test_shifted_and_drifting_two_body_rotation_is_relative_equilibrium(drift):
+    # the centered orbit moved to (5, 0), at rest or drifting: a fit about the
+    # origin called both constant_inertia_not_re, with defect 2.0 and 2.69
+    s2 = math.sqrt(2.0)
+    state = PhaseState([[4.0, 0.0], [6.0, 0.0]], [[drift, -s2], [drift, s2]])
+    masses = MassVector([1.0, 1.0])
+    traj = integrate(state, IntegratorSpec("rk4", 1e-3, 2.0 * math.pi), HARMONIC, masses)
+    report = saari_check(traj)
+    assert report.classification == RELATIVE_EQUILIBRIUM
+    assert report.rigidity_defect <= 1e-12
+
+
+def rigid_motion(state, masses, shift, boost, angle, order):
+    """The state translated, boosted, rotated and relabelled; its masses relabelled too."""
+    turn = rotation(angle).T
+    q = (state.config.q + shift) @ turn
+    v = (state.v + boost) @ turn
+    return PhaseState(q[order], v[order]), MassVector(masses.m[order])
+
+
+def rotating_control_state():
+    start = rotating_re_trajectory(CENTERED_TRIANGLE, M3, [0.0])
+    return PhaseState(start.q[0], start.v[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), control=st.booleans(),
+       shift=st.tuples(*[st.floats(-100.0, 100.0)] * 2),
+       boost=st.tuples(*[st.floats(-5.0, 5.0)] * 2),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_saari_check_ignores_the_frame(data, control, shift, boost, angle):
+    state, masses = (rotating_control_state(), M3) if control \
+        else (build_theorem2_state(1.0), M4)
+    order = np.array(data.draw(st.permutations(range(masses.n))))
+    times = np.linspace(0.0, 2.0 * math.pi, 201)
+    base = saari_check(harmonic_flow(state, masses, times))
+    moved = saari_check(harmonic_flow(*rigid_motion(state, masses, shift, boost, angle, order),
+                                      times))
+    assert base.classification == (RELATIVE_EQUILIBRIUM if control else CONSTANT_INERTIA_NOT_RE)
+    assert moved.classification == base.classification
+    scale = math.sqrt(moment_of_inertia(state.config, masses))
+    assert abs(moved.rigidity_defect - base.rigidity_defect) <= 1e-9 * scale
 
 
 def test_build_theorem2_state_values():
