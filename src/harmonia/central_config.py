@@ -25,6 +25,7 @@ from .core import (
     _centering_hessian,
     _cm_offsets,
     _hessian_rows,
+    _pair_offsets,
     inertia_gradient,
     moment_of_inertia,
     potential_gradient,
@@ -37,8 +38,18 @@ _INERTIA_REL_TOL = 1e-12
 # refine_cc refuses a target inertia that q_cm + x carries to fewer digits
 _RESOLVED_INERTIA_RTOL = 1e-8
 
-# verify_continuum fits every pair of samples: 523 776 rigid fits at this cap
-MAX_FAMILY_SAMPLES = 1024
+# the r23 screen of _equivalent_pairs fits no pair of family members when
+# k > 2e-18 n_samples^4 (k = 1 up to this cap: the smallest r23 gap, ~6.5e-9
+# near eta = pi/2, clears the 2.45e-9 margin); verify_continuum's time is then
+# linear in the sample count
+MAX_FAMILY_SAMPLES = 16384
+# _equivalent_pairs fits at most this many pairs: every pair of 1024 samples
+# (~20 s), so up to 1024 samples no k is refused
+_MAX_FITTED_PAIRS = 1024 * 1023 // 2
+# a rotation that fits two samples to this rigid_fit residual makes them one shape
+_EQUIVALENCE_TOL = 1e-9
+# rounding allowance of the pair-distance screen, in units of the largest coordinate
+_SCREEN_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -266,9 +277,16 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     pair at eta = 0). The verdict is true when every sample is a central
     configuration within ``tol``, has inertia k to 1e-12 relative, and no
     rotation about the center of mass fits one sample onto another to a
-    ``rigid_fit`` residual of 1e-9. At most MAX_FAMILY_SAMPLES
-    samples are accepted, since the pairwise check grows as n_samples^2.
-    ``theorem1_family`` checks k.
+    ``rigid_fit`` residual of 1e-9. That last check screens the pairs by
+    their base length r23 (``_equivalent_pairs``): a rotation with residual
+    rho changes no pair distance by more than sqrt(2M / m_min) rho = sqrt(6) rho,
+    so only pairs whose r23 lie within the margin sqrt(6) (1e-9 + 64 eps
+    max|offset|) are fitted. The margin is absolute while r23 scales with
+    sqrt(k), so no pair is fitted when k > 2e-18 n_samples^4 (at k = 1, up
+    to MAX_FAMILY_SAMPLES) and the time is then linear in n_samples; below
+    that, close pairs are fitted, and more than _MAX_FITTED_PAIRS of them
+    raise ValidationError before any residual is computed. At most
+    MAX_FAMILY_SAMPLES samples are accepted. ``theorem1_family`` checks k.
     """
     if not 2 <= n_samples <= MAX_FAMILY_SAMPLES or int(n_samples) != n_samples:
         raise ValidationError("n_samples", f"need 2 to {MAX_FAMILY_SAMPLES} samples")
@@ -276,11 +294,13 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
 
     masses = family_masses()
     harmonic = PotentialSpec.harmonic()
+    etas = [(math.pi / 2.0) * j / n_samples for j in range(1, n_samples + 1)]
+    configs = [theorem1_family(k, eta) for eta in etas]
+    _, offsets = _cm_offsets(np.stack([config.q for config in configs]), masses.m)
+    equivalent = _equivalent_pairs(offsets, masses, _EQUIVALENCE_TOL)
     samples = []
     failures = []
-    for j in range(1, n_samples + 1):
-        eta = (math.pi / 2.0) * j / n_samples
-        config = theorem1_family(k, eta)
+    for eta, config in zip(etas, configs):
         report = cc_residual(config, masses, harmonic, tol)
         samples.append(FamilySample(eta, config, report))
         if not report.is_cc:
@@ -288,13 +308,48 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
         inertia = moment_of_inertia(config, masses)
         if abs(inertia - k) > _INERTIA_REL_TOL * k:
             failures.append(f"eta={eta:.6f}: inertia {inertia!r} misses k={k!r}")
-    _, offsets = _cm_offsets(np.stack([s.config.q for s in samples]), masses.m)
-    shapes = [PlanarConfiguration(x) for x in offsets]
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            if rigid_fit(shapes[i], shapes[j], masses,
-                         allow_reflection=False).residual <= 1e-9:
-                failures.append(
-                    f"samples eta={samples[i].eta:.6f} and eta={samples[j].eta:.6f} "
-                    "are rotationally equivalent")
+    for i, j in equivalent:
+        failures.append(
+            f"samples eta={etas[i]:.6f} and eta={etas[j]:.6f} "
+            "are rotationally equivalent")
     return ContinuumReport(float(k), tuple(samples), not failures, tuple(failures))
+
+
+def _equivalent_pairs(offsets: np.ndarray, masses: MassVector, tol: float) -> list:
+    """The pairs (i, j), i < j, of three-body configurations ``offsets`` (S, 3, 2)
+    that a rotation fits onto each other to a ``rigid_fit`` residual of at most
+    ``tol``, in (i, j) order.
+
+    A pair distance screens the pairs. For any orthogonal Omega with misfits
+    e_i = a_i - Omega b_i and residual rho, sum m_i |e_i|^2 = M rho^2, so
+    |r_ij(a) - r_ij(b)| <= |e_i| + |e_j| <= sqrt(2M / m_min) rho. Two samples
+    whose r23 differ by more than margin = sqrt(2M / m_min) (tol + 64 eps
+    max|offsets|), where the second term covers the rounding of r23 and of
+    the fit, are therefore inequivalent. Only the pairs inside the margin,
+    found by sorting r23, go to ``rigid_fit``; more than _MAX_FITTED_PAIRS
+    of them raise ValidationError before the first fit.
+    """
+    r23 = _pair_offsets(offsets)[4][:, -1]
+    bound = math.sqrt(2.0 * masses.total / float(masses.m.min()))
+    margin = bound * (tol + _SCREEN_ROUNDING * float(np.abs(offsets).max()))
+    order = np.argsort(r23)
+    ranked = r23[order]
+    stop = np.searchsorted(ranked, ranked + margin, side="right")
+    n_close = int((stop - np.arange(1, len(ranked) + 1)).sum())
+    if n_close > _MAX_FITTED_PAIRS:
+        raise ValidationError(
+            "n_samples", f"{n_close} pairs of samples lie within the r23 screen margin "
+            f"{margin:.3e}, more than the {_MAX_FITTED_PAIRS} that can be fitted; "
+            "use fewer samples or a larger k")
+    if not n_close:
+        return []
+    shapes = [PlanarConfiguration(x) for x in offsets]
+    order, stop = order.tolist(), stop.tolist()
+    equivalent = []
+    for a in range(len(order)):
+        for b in range(a + 1, stop[a]):
+            i, j = sorted((order[a], order[b]))
+            if rigid_fit(shapes[i], shapes[j], masses,
+                         allow_reflection=False).residual <= tol:
+                equivalent.append((i, j))
+    return sorted(equivalent)

@@ -20,8 +20,10 @@ PotentialSpec, IntegratorSpec), and their errors name the field as the
 document does ("masses[0]", "integrator.stride"). A run may take at most
 dynamics.MAX_STEPS = 10^7 steps (t_end / dt) and retain at most
 dynamics.MAX_SAMPLES = 10^6 samples; ``family`` takes at most
-central_config.MAX_FAMILY_SAMPLES = 1024 samples. ``simulate`` replaces
-the file named by ``--out`` only when the run succeeds.
+central_config.MAX_FAMILY_SAMPLES = 16384 samples, and refuses a small k
+at which more than 523 776 pairs of samples would need a rigidity fit.
+``simulate`` replaces the file named by ``--out`` only when the run
+succeeds.
 
 CSV output carries t, per-body qx/qy/vx/vy
 columns (1-based body labels), then I, U, E, all printed with 17

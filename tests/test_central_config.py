@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonia import (
     DegenerateGradient,
@@ -26,8 +28,9 @@ from harmonia import (
     total_mass,
     verify_continuum,
 )
-from harmonia.central_config import MAX_FAMILY_SAMPLES
-from harmonia.core import _cm_offsets
+from harmonia import central_config
+from harmonia.central_config import MAX_FAMILY_SAMPLES, _equivalent_pairs
+from harmonia.core import _cm_offsets, rotation
 from conftest import equilateral
 
 HARMONIC = PotentialSpec.harmonic()
@@ -331,3 +334,130 @@ def test_verify_continuum_rejects_sample_counts_out_of_range(n_samples):
         verify_continuum(1.0, n_samples)
     assert err.value.field == "n_samples"
     assert err.value.reason == f"need 2 to {MAX_FAMILY_SAMPLES} samples"
+
+
+def all_pairs_equivalent(offsets, masses):
+    """The all-pairs loop that ``_equivalent_pairs`` screens: every i < j is fitted."""
+    return [(i, j) for i in range(len(offsets)) for j in range(i + 1, len(offsets))
+            if rigid_fit(offsets[i], offsets[j], masses,
+                         allow_reflection=False).residual <= 1e-9]
+
+
+def rotated_about_cm(config, angle):
+    q_cm = _cm_offsets(config.q, M3.m)[0]
+    return config.translated(-q_cm).rotated(angle).translated(q_cm)
+
+
+coordinate = st.floats(-5.0, 5.0)
+triangle = st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=3).map(np.array)
+
+
+@st.composite
+def triangle_sets(draw):
+    """Unit-mass triangles with exact duplicates, rotated copies and near-duplicates
+    (a misfit near 1e-9, or the apex moved with r23 kept), as CM offsets (S, 3, 2)."""
+    scale = 10.0 ** draw(st.integers(-3, 6))
+    shapes = [scale * t for t in draw(st.lists(triangle, min_size=1, max_size=5))]
+    for _ in range(draw(st.integers(0, 8))):
+        source = shapes[draw(st.integers(0, len(shapes) - 1))]
+        kind = draw(st.sampled_from(("duplicate", "rotated", "near", "apex")))
+        turn = rotation(draw(st.floats(0.0, 2.0 * math.pi)))
+        if kind == "duplicate":
+            shape = source.copy()
+        elif kind == "rotated":
+            shape = source @ turn.T
+        elif kind == "near":
+            step = 10.0 ** draw(st.floats(-10.5, -7.5))
+            shape = (source + step / 5.0 * draw(triangle)) @ turn.T
+        else:
+            shape = source.copy()
+            shape[0] += 10.0 ** draw(st.floats(-10.0, 0.0)) * draw(triangle)[0]
+        shapes.append(shape)
+    order = draw(st.permutations(range(len(shapes))))
+    return np.stack([_cm_offsets(shapes[i], M3.m)[1] for i in order])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(offsets=triangle_sets())
+def test_equivalent_pairs_match_the_all_pairs_fit(offsets):
+    assert _equivalent_pairs(offsets, M3, 1e-9) == all_pairs_equivalent(offsets, M3)
+
+
+@pytest.mark.parametrize("k", [1e-6, 1.0, 1e6, 1e12])
+def test_verify_continuum_holds_across_scales(k):
+    report = verify_continuum(k, 128)
+    assert report.verdict
+    assert report.failures == ()
+
+
+def counting_rigid_fit(monkeypatch):
+    calls = []
+    fit = central_config.rigid_fit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(central_config, "rigid_fit", counted)
+    return calls
+
+
+def test_verify_continuum_fits_no_pair_of_distinct_members(monkeypatch):
+    # the r23 screen settles every pair, so the certificate costs O(S log S)
+    calls = counting_rigid_fit(monkeypatch)
+    assert verify_continuum(1.0, 128).verdict
+    assert calls == []
+
+
+def test_verify_continuum_names_repeated_samples_as_the_all_pairs_fit_did(monkeypatch):
+    n = 32
+    family = central_config.theorem1_family
+
+    def eta(j):
+        return (math.pi / 2.0) * j / n
+
+    def tampered(k, angle):
+        # sample 3 is sample 25 turned about its center of mass; sample 20 repeats sample 5
+        if angle == eta(3):
+            return rotated_about_cm(family(k, eta(25)), 2.0)
+        return family(k, eta(5) if angle == eta(20) else angle)
+
+    monkeypatch.setattr(central_config, "theorem1_family", tampered)
+    calls = counting_rigid_fit(monkeypatch)
+    report = verify_continuum(1.0, n)
+    _, offsets = _cm_offsets(np.stack([s.config.q for s in report.samples]), M3.m)
+    expected = [f"samples eta={report.samples[i].eta:.6f} and eta={report.samples[j].eta:.6f} "
+                "are rotationally equivalent" for i, j in all_pairs_equivalent(offsets, M3)]
+    assert not report.verdict
+    assert list(report.failures) == expected
+    assert expected == ["samples eta=0.147262 and eta=1.227185 are rotationally equivalent",
+                        "samples eta=0.245437 and eta=0.981748 are rotationally equivalent"]
+    assert len(calls) == 2
+
+
+def test_verify_continuum_at_small_k_reports_every_pair_the_all_pairs_fit_did(monkeypatch):
+    # at k = 1e-20 every r23 lies inside the absolute screen margin, so every pair is fitted
+    calls = counting_rigid_fit(monkeypatch)
+    report = verify_continuum(1e-20, 24)
+    _, offsets = _cm_offsets(np.stack([s.config.q for s in report.samples]), M3.m)
+    pairs = all_pairs_equivalent(offsets, M3)
+    assert len(pairs) == 24 * 23 // 2
+    assert len(calls) == len(pairs)
+    assert list(report.failures) == [
+        f"samples eta={report.samples[i].eta:.6f} and eta={report.samples[j].eta:.6f} "
+        "are rotationally equivalent" for i, j in pairs]
+
+
+def test_verify_continuum_refuses_more_close_pairs_than_it_may_fit(monkeypatch):
+    monkeypatch.setattr(central_config, "_MAX_FITTED_PAIRS", 24 * 23 // 2 - 1)
+    calls = counting_rigid_fit(monkeypatch)
+    with pytest.raises(ValidationError) as err:
+        verify_continuum(1e-20, 24)
+    assert err.value.field == "n_samples"
+    assert err.value.reason == ("276 pairs of samples lie within the r23 screen margin 2.449e-09, "
+                                "more than the 275 that can be fitted; use fewer samples or a larger k")
+    assert calls == []
+
+
+def test_no_k_is_refused_up_to_1024_samples():
+    assert central_config._MAX_FITTED_PAIRS >= 1024 * 1023 // 2

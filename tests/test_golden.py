@@ -36,6 +36,12 @@ STDOUT_SHA256 = {
         "85d4fbbf3c5a35a04f03bf6d856940c7969824bb814c722aceac0cf2a9b764a0",
     ("cc-refine", "two_body_rotating_drifting.json"):
         "9afbcc2a0d9a6bfb88630e1d67ebadd4bfc99f52014f626abf8783e2787eccc3",
+    ("cc-check", "three_body_collinear.json"):
+        "c88f9fd30c49043bcc5a71c042e0c7580d8f7c1683f0ff126bb52502e48ff1ed",
+    ("cc-refine", "three_body_collinear.json"):
+        "4d98bff05248b69e8b7c3971d90a4ca78d5e3be2f95b29286a295f7024b71164",
+    ("saari", "three_body_collinear.json"):
+        "4d19ab2d1e657585671630473326dde9a786e58625f46b77e8080574cc60037a",
     ("saari", "theorem2_rhombus.json"):
         "a12844e1171820473c1ce6d45541605e5c9358d57f6c0736bf98d8227aec9a2c",
     ("saari", "two_body_harmonic.json"):
@@ -44,6 +50,8 @@ STDOUT_SHA256 = {
         "f68140672beffc2c4d2c05b0992a0ccb3af9a20a3ad919931360d8e630f7e58b",
     ("simulate", "theorem2_rhombus.json"):
         "ec76adc575e4e329f964698ea0190cf0370f8eace5f943c2a25fc246538300c9",
+    ("simulate", "three_body_collinear.json"):
+        "8f3e715f1c07f10db801ef0bf95207fe03c1c04debbe912f0ffc03387d0a198e",
     ("simulate", "two_body_harmonic.json"):
         "474804fd0824831d25eed84a85616f87298bf5912df346824acbb47321154228",
     ("simulate", "two_body_rotating_drifting.json"):
@@ -59,6 +67,8 @@ STDOUT_SHA256 = {
 CSV_SHA256 = {
     "theorem2_rhombus.json":
         "59c2837fc5249dea3ac5d3e21b72898e8060b5bf85c42c2d3ab9a2056edb28a2",
+    "three_body_collinear.json":
+        "2f0556c176990c8e03854c86be434ae36458d6b1d3c3f219a690939f0bce5d34",
     "two_body_harmonic.json":
         "18894d650766a5bc95d91547c23484cc91035b33d81ba8a6c855623e140fafef",
     "two_body_rotating_drifting.json":
