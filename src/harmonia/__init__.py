@@ -23,15 +23,12 @@ from .core import (
     as_mass_vector,
     center_of_mass,
     inertia_gradient,
-    kinetic_energy,
     moment_of_inertia,
-    moment_of_inertia_cartesian,
     mutual_distances,
     potential_energy,
     potential_gradient,
     rotation,
     total_energy,
-    total_mass,
 )
 from .dynamics import (
     RK4,

@@ -61,10 +61,6 @@ class CCReport:
     is_cc: bool
     tol: float
 
-    def __post_init__(self) -> None:
-        if self.is_cc != (self.residual <= self.tol):
-            raise ValidationError("is_cc", "must equal residual <= tol")
-
 
 @dataclass(frozen=True)
 class FamilySample:

@@ -52,7 +52,6 @@ from .core import (
     PotentialSpec,
     _bodies,
     _pair_offsets,
-    as_mass_vector,
     moment_of_inertia,
 )
 from .dynamics import (
@@ -263,29 +262,6 @@ def write_trajectory_csv(traj: Trajectory, sink) -> None:
                              traj.energy])
     for row in table.tolist():
         sink.write(",".join(format(x, ".17g") for x in row) + "\n")
-
-
-def read_trajectory_csv(text: str, m, potential: PotentialSpec) -> Trajectory:
-    """Parse a CSV produced by write_trajectory_csv back into a Trajectory."""
-    lines = [line for line in text.splitlines() if line]
-    if not lines:
-        raise ParseError("empty CSV")
-    masses = as_mass_vector(m)
-    if lines[0] != csv_header(masses.n):
-        raise ParseError("unexpected CSV header")
-    width = 4 * masses.n + 4
-    rows = []
-    for line in lines[1:]:
-        try:
-            cells = [float(c) for c in line.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric CSV cell: {exc}") from None
-        if len(cells) != width:
-            raise ParseError("row width does not match header")
-        rows.append(cells)
-    table = np.array(rows, dtype=float).reshape(-1, width)
-    bodies = table[:, 1:width - 3].reshape(-1, masses.n, 4)
-    return Trajectory(table[:, 0], bodies[:, :, 0:2], bodies[:, :, 2:4], potential, masses)
 
 
 def _integrate(scenario: Scenario, verb: str) -> Trajectory:

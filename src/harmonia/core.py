@@ -2,10 +2,7 @@
 
 All quantities are nondimensional. The canonical moment of inertia is the
 mutual-distance form I = (1/M) sum_{i<j} m_i m_j r_ij^2, which is invariant
-under translation and rotation of the configuration; the Cartesian form
-sum_i m_i |q_i|^2 is exposed separately and agrees with the canonical one
-exactly when the center of mass sits at the origin (parallel-axis identity
-I_cartesian = I + M |q_cm|^2).
+under translation and rotation of the configuration.
 
 The harmonic potential is U = (M/2) I, so grad U = (M/2) grad I holds at
 every configuration; Newtonian and power-law potentials are provided for
@@ -28,10 +25,6 @@ POTENTIAL_KINDS = (HARMONIC, NEWTONIAN, POWER)
 
 # Pair separations below this count as collisions for singular potentials.
 COLLISION_EPS = 1e-12
-
-# Relative slack of the triangle-inequality check on hand-built tables,
-# scaled by the table's largest entry (at least 1).
-_TRIANGLE_SLACK = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -95,12 +88,6 @@ class PlanarConfiguration:
     @property
     def n(self) -> int:
         return int(self.q.shape[0])
-
-    def translated(self, offset) -> "PlanarConfiguration":
-        return PlanarConfiguration(self.q + np.asarray(offset, dtype=float))
-
-    def rotated(self, angle: float) -> "PlanarConfiguration":
-        return PlanarConfiguration(self.q @ rotation(angle).T)
 
 
 @dataclass(frozen=True)
@@ -177,50 +164,13 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class MutualDistanceTable:
-    """Symmetric pair-distance table with zero diagonal.
-
-    A table built by hand must also satisfy r_ij <= r_ik + r_kj for every
-    triple, within a slack of 1e-12 times max(1, largest entry). Tables
-    that ``mutual_distances`` derives from positions satisfy it by
-    geometry and skip that O(n^3) check.
-    """
+    """Symmetric pair-distance table r_ij = |q_i - q_j| with zero diagonal."""
 
     r: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = _checked_table(self.r)
-        slack = _TRIANGLE_SLACK * max(1.0, float(r.max(initial=0.0)))
-        # r_ij <= r_ik + r_kj, one middle index k at a time to keep memory O(n^2)
-        for k in range(r.shape[0]):
-            if not np.all(r <= r[:, k, None] + r[None, k, :] + slack):
-                raise ValidationError("r", "triangle inequality violated")
-        object.__setattr__(self, "r", _frozen(r))
-
-    @classmethod
-    def _derived(cls, r: np.ndarray) -> "MutualDistanceTable":
-        """Table computed from positions: every check but the triangle inequality."""
-        table = object.__new__(cls)
-        object.__setattr__(table, "r", _frozen(_checked_table(r)))
-        return table
 
     @property
     def n(self) -> int:
         return int(self.r.shape[0])
-
-
-def _checked_table(r) -> np.ndarray:
-    r = np.array(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValidationError("r", "expected a square table")
-    if not np.all(np.isfinite(r)):
-        raise ValidationError("r", "distances must be finite")
-    if np.any(r < 0.0):
-        raise ValidationError("r", "distances must be nonnegative")
-    if np.any(np.diag(r) != 0.0):
-        raise ValidationError("r", "diagonal must be zero")
-    if not np.array_equal(r, r.T):
-        raise ValidationError("r", "table must be symmetric")
-    return r
 
 
 def as_mass_vector(m) -> MassVector:
@@ -297,11 +247,6 @@ def _mass_weighted_offsets(q: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return mass[:, None] * _cm_offsets(q, mass)[1]
 
 
-def total_mass(m) -> float:
-    """Sum of the body masses."""
-    return as_mass_vector(m).total
-
-
 def center_of_mass(config, m) -> np.ndarray:
     """Mass-weighted mean position, shape (2,)."""
     config, m = _bodies(config, m)
@@ -311,11 +256,13 @@ def center_of_mass(config, m) -> np.ndarray:
 def mutual_distances(config) -> MutualDistanceTable:
     """Euclidean pair distances r_ij = |q_i - q_j|.
 
-    The table comes from positions, so the triangle inequality holds by
-    geometry and is not checked again.
+    Raises ValidationError on ``r`` when a distance overflows (positions
+    too far out for doubles).
     """
-    config = as_configuration(config)
-    return MutualDistanceTable._derived(_distance_matrix(config.q))
+    r = _distance_matrix(as_configuration(config).q)
+    if not np.all(np.isfinite(r)):
+        raise ValidationError("r", "distances must be finite")
+    return MutualDistanceTable(_frozen(r))
 
 
 def moment_of_inertia(config, m) -> float:
@@ -332,16 +279,6 @@ def _inertia(q: np.ndarray, mass: np.ndarray) -> float:
     r = _distance_matrix(q)
     w = mass[:, None] * mass[None, :]
     return float((w * r * r).sum() / (2.0 * float(mass.sum())))
-
-
-def moment_of_inertia_cartesian(config, m) -> float:
-    """Origin-anchored moment of inertia sum_i m_i |q_i|^2.
-
-    Equals the canonical form plus M |q_cm|^2, so the two agree exactly
-    in the center-of-mass frame.
-    """
-    config, m = _bodies(config, m)
-    return float(m.m @ (config.q * config.q).sum(axis=1))
 
 
 def potential_energy(potential: PotentialSpec, config, m) -> float:
@@ -434,12 +371,8 @@ def inertia_gradient(config, m) -> np.ndarray:
     return 2.0 * _mass_weighted_offsets(config.q, m.m)
 
 
-def kinetic_energy(state: PhaseState, m) -> float:
-    """(1/2) sum_i m_i |v_i|^2."""
-    _, m = _bodies(state.config, m)
-    return 0.5 * float(m.m @ (state.v * state.v).sum(axis=1))
-
-
 def total_energy(potential: PotentialSpec, state: PhaseState, m) -> float:
-    """Kinetic plus potential energy, H = T + U."""
-    return kinetic_energy(state, m) + potential_energy(potential, state.config, m)
+    """Kinetic plus potential energy, H = (1/2) sum_i m_i |v_i|^2 + U."""
+    config, m = _bodies(state.config, m)
+    return 0.5 * float(m.m @ (state.v * state.v).sum(axis=1)) \
+        + potential_energy(potential, config, m)

@@ -24,6 +24,7 @@ from .core import (
     PotentialSpec,
     _bodies,
     _cm_offsets,
+    _frozen,
     _pair_offsets,
     as_configuration,
     rotation,
@@ -53,17 +54,6 @@ class RigidFitResult:
     omega: np.ndarray
     residual: float
     det_sign: int
-
-    def __post_init__(self) -> None:
-        omega = np.array(self.omega, dtype=float)
-        if omega.shape != (2, 2):
-            raise ValidationError("omega", "expected a 2x2 matrix")
-        if np.abs(omega @ omega.T - np.eye(2)).max() > 1e-12:
-            raise ValidationError("omega", "matrix is not orthogonal")
-        if self.det_sign not in (-1, 1):
-            raise ValidationError("det_sign", "must be +1 or -1")
-        omega.setflags(write=False)
-        object.__setattr__(self, "omega", omega)
 
 
 @dataclass(frozen=True)
@@ -146,7 +136,7 @@ def rigid_fit(config, ref, m, allow_reflection: bool = True) -> RigidFitResult:
         omega_r, trial = best_rotation(b * [1.0, -1.0])
         if trial < best:
             omega, best, sign = omega_r @ np.diag([1.0, -1.0]), trial, -1
-    return RigidFitResult(omega, math.sqrt(best / m.total), sign)
+    return RigidFitResult(_frozen(omega), math.sqrt(best / m.total), sign)
 
 
 def inertia_variation(traj: Trajectory) -> float:

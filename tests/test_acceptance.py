@@ -31,7 +31,6 @@ from harmonia import (
     rhombus_trajectory,
     rotating_re_trajectory,
     saari_check,
-    total_mass,
     verify_continuum,
     verify_counterexample,
 )
@@ -97,7 +96,7 @@ def test_criterion_3_everywhere_central(draw_system, capsys):
         report = cc_residual(config, masses, HARMONIC)
         worst_residual = max(worst_residual, report.residual)
         worst_omega = max(worst_omega,
-                          abs(report.omega_squared - 2.0 / total_mass(masses)))
+                          abs(report.omega_squared - 2.0 / masses.total))
     with capsys.disabled():
         gate("criterion 3: harmonic everywhere-central property",
              worst_residual <= 1e-9 and worst_omega <= 1e-9,

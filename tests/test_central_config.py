@@ -25,7 +25,6 @@ from harmonia import (
     refine_cc,
     rigid_fit,
     theorem1_family,
-    total_mass,
     verify_continuum,
 )
 from harmonia import central_config
@@ -59,7 +58,7 @@ def test_harmonic_everywhere_critical_corpus(draw_system):
             continue
         report = cc_residual(config, masses, HARMONIC)
         assert report.residual <= 1e-9
-        assert abs(report.omega_squared - 2.0 / total_mass(masses)) <= 1e-9
+        assert abs(report.omega_squared - 2.0 / masses.total) <= 1e-9
 
 
 def test_newtonian_equilateral_is_central():
@@ -76,8 +75,8 @@ def test_residual_rigid_motion_invariance(draw_system, rng):
     for _ in range(50):
         config, masses = draw_system(min_separation=1e-2)
         base = cc_residual(config, masses, NEWTONIAN).residual
-        moved = config.rotated(float(rng.uniform(0, 2 * math.pi)))
-        moved = moved.translated(rng.uniform(-4, 4, size=2))
+        turn = rotation(float(rng.uniform(0, 2 * math.pi)))
+        moved = PlanarConfiguration(config.q @ turn.T + rng.uniform(-4, 4, size=2))
         assert abs(cc_residual(moved, masses, NEWTONIAN).residual - base) <= 1e-10
 
 
@@ -257,7 +256,8 @@ def test_family_potential_energy_constant():
 def test_rotational_equivalence_basic(rng):
     config = PlanarConfiguration(rng.uniform(-2, 2, size=(4, 2)))
     masses = MassVector(np.ones(4))
-    assert rotationally_equivalent(config, config.rotated(math.pi / 3.0), masses)
+    spun = PlanarConfiguration(config.q @ rotation(math.pi / 3.0).T)
+    assert rotationally_equivalent(config, spun, masses)
     assert rotationally_equivalent(theorem1_family(1.0, 0.4),
                                    theorem1_family(1.0, 0.4 + math.pi), M3)
     assert not rotationally_equivalent(theorem1_family(1.0, 0.3),
@@ -267,12 +267,12 @@ def test_rotational_equivalence_basic(rng):
 def test_rotational_equivalence_ignores_the_frame():
     # a fit about the origin called both copies inequivalent to the original
     config = theorem1_family(1.0, 0.4)
-    q_cm = _cm_offsets(config.q, M3.m)[0]
-    spun = config.translated(-q_cm).rotated(1.1).translated(q_cm)
-    assert rotationally_equivalent(config, config.translated([1e-3, 0.0]), M3)
+    spun = rotated_about_cm(config, 1.1)
+    nudged = PlanarConfiguration(config.q + [1e-3, 0.0])
+    assert rotationally_equivalent(config, nudged, M3)
     assert rotationally_equivalent(config, spun, M3)
-    assert rotationally_equivalent(spun, config.translated([-7.0, 3.0]), M3)
-    copies = np.stack([config.q, config.translated([1e-3, 0.0]).q, spun.q])
+    assert rotationally_equivalent(spun, PlanarConfiguration(config.q + [-7.0, 3.0]), M3)
+    copies = np.stack([config.q, nudged.q, spun.q])
     traj = Trajectory([0.0, 1.0, 2.0], copies, np.zeros_like(copies), HARMONIC, M3)
     assert is_relative_equilibrium(traj).defect <= 1e-15
 
@@ -290,9 +290,7 @@ def test_distinct_family_members_have_distinct_base():
 def test_rotational_equivalence_is_equivalence_relation(rng):
     base = PlanarConfiguration(rng.uniform(-2, 2, size=(3, 2)))
     masses = MassVector(np.ones(3))
-    a = base.rotated(0.7)
-    b = base.rotated(2.1)
-    c = base.rotated(4.4)
+    a, b, c = (PlanarConfiguration(base.q @ rotation(angle).T) for angle in (0.7, 2.1, 4.4))
     other = PlanarConfiguration(base.q * np.array([1.4, 0.6]))
     for x in (a, b, c):
         assert rotationally_equivalent(x, x, masses)
@@ -345,7 +343,7 @@ def all_pairs_equivalent(offsets, masses):
 
 def rotated_about_cm(config, angle):
     q_cm = _cm_offsets(config.q, M3.m)[0]
-    return config.translated(-q_cm).rotated(angle).translated(q_cm)
+    return PlanarConfiguration((config.q - q_cm) @ rotation(angle).T + q_cm)
 
 
 coordinate = st.floats(-5.0, 5.0)

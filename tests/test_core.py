@@ -10,7 +10,6 @@ from harmonia import (
     CollisionSingularity,
     IntegratorSpec,
     MassVector,
-    MutualDistanceTable,
     PhaseState,
     PlanarConfiguration,
     PotentialSpec,
@@ -21,17 +20,15 @@ from harmonia import (
     harmonic_flow,
     inertia_gradient,
     integrate,
-    kinetic_energy,
     moment_of_inertia,
-    moment_of_inertia_cartesian,
     mutual_distances,
     potential_energy,
     potential_gradient,
     refine_cc,
     rigid_fit,
     rotating_re_trajectory,
+    rotation,
     total_energy,
-    total_mass,
 )
 from harmonia.core import _centering_hessian, _hessian_rows, _pair_offsets, _pair_separations
 from conftest import central_difference_gradient
@@ -47,9 +44,9 @@ ALL_KINDS = [HARMONIC, NEWTONIAN, PotentialSpec.power(-1.5, 2.0), PotentialSpec.
 
 
 def test_total_mass():
-    assert total_mass(M3) == 3.0
-    assert total_mass(MassVector([1.0, 1.0])) == 2.0
-    assert total_mass(M4) == 4.0
+    assert M3.total == 3.0
+    assert MassVector([1.0, 1.0]).total == 2.0
+    assert M4.total == 4.0
 
 
 def test_mass_vector_rejects_bad_input():
@@ -90,6 +87,7 @@ def test_mutual_distances_triangle():
     assert table.r[0, 1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert table.r[0, 2] == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert table.r[1, 2] == pytest.approx(2.0, rel=1e-15)
+    assert not table.r.flags.writeable
 
 
 def test_mutual_distances_coincident_and_345():
@@ -97,30 +95,11 @@ def test_mutual_distances_coincident_and_345():
     assert mutual_distances([[0.0, 0.0], [3.0, 4.0]]).r[0, 1] == pytest.approx(5.0, rel=1e-15)
 
 
-def test_distance_table_invariants_enforced():
-    with pytest.raises(ValidationError):
-        MutualDistanceTable([[0.0, 1.0], [2.0, 0.0]])  # asymmetric
-    with pytest.raises(ValidationError):
-        MutualDistanceTable([[1.0, 1.0], [1.0, 0.0]])  # nonzero diagonal
-    with pytest.raises(ValidationError):
-        MutualDistanceTable([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-
-
-def test_triangle_slack_scales_with_the_table(rng):
-    # collinear triples near 1e6: r_ac = r_ab + r_bc holds only to rounding,
-    # which an absolute slack of 1e-12 rejected for about one triple in five
-    for _ in range(200):
-        t = np.sort(rng.uniform(0.0, 1.0, size=3))
-        q = 1e6 + np.outer(1e6 * t, rng.normal(size=2))
-        d = q[:, None, :] - q[None, :, :]
-        r = np.sqrt((d * d).sum(axis=2))
-        assert np.array_equal(MutualDistanceTable(r).r, r)
-        assert mutual_distances(q).n == 3
-    bad = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    with pytest.raises(ValidationError, match="triangle inequality"):
-        MutualDistanceTable(bad)
-    with pytest.raises(ValidationError, match="triangle inequality"):
-        MutualDistanceTable(1e6 * bad)
+def test_mutual_distances_refuses_overflow():
+    # finite positions whose squared offset overflows to inf
+    with np.errstate(over="ignore"), pytest.raises(ValidationError) as err:
+        mutual_distances([[1e200, 0.0], [-1e200, 0.0]])
+    assert (err.value.field, err.value.reason) == ("r", "distances must be finite")
 
 
 def test_moment_of_inertia_values():
@@ -129,13 +108,19 @@ def test_moment_of_inertia_values():
     assert moment_of_inertia([[1.0, 2.0]] * 3, M3) == 0.0
 
 
+def cartesian_inertia(config, masses):
+    """Origin-anchored moment of inertia sum_i m_i |q_i|^2."""
+    return float(masses.m @ (config.q * config.q).sum(axis=1))
+
+
 def test_moment_of_inertia_cartesian_values():
-    assert moment_of_inertia_cartesian(RHOMBUS, M4) == pytest.approx(4.0, rel=1e-15)
-    # center of mass off the origin: the two forms differ by M |q_cm|^2
-    assert moment_of_inertia_cartesian(TRIANGLE, M3) == pytest.approx(3.0, rel=1e-15)
-    assert moment_of_inertia_cartesian(TRIANGLE, M3) - moment_of_inertia(TRIANGLE, M3) \
+    # the CM of the rhombus is the origin, where the two forms agree
+    assert cartesian_inertia(RHOMBUS, M4) == 4.0
+    assert moment_of_inertia(RHOMBUS, M4) == pytest.approx(4.0, rel=1e-15)
+    # center of mass off the origin: the two forms differ by M |q_cm|^2 = 1/3
+    assert cartesian_inertia(TRIANGLE, M3) == 3.0
+    assert cartesian_inertia(TRIANGLE, M3) - moment_of_inertia(TRIANGLE, M3) \
         == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert moment_of_inertia_cartesian([[0.0, 0.0]] * 2, MassVector([2.0, 3.0])) == 0.0
 
 
 def test_center_of_mass():
@@ -149,12 +134,12 @@ def test_parallel_axis_identity_on_corpus(draw_system):
     for _ in range(1000):
         config, masses = draw_system()
         i_mutual = moment_of_inertia(config, masses)
-        i_cart = moment_of_inertia_cartesian(config, masses)
+        i_cart = cartesian_inertia(config, masses)
         qcm = center_of_mass(config, masses)
-        shift = total_mass(masses) * float(qcm @ qcm)
+        shift = masses.total * float(qcm @ qcm)
         assert i_cart == pytest.approx(i_mutual + shift, rel=1e-12, abs=1e-12)
-        centered = config.translated(-qcm)
-        assert moment_of_inertia_cartesian(centered, masses) \
+        centered = PlanarConfiguration(config.q - qcm)
+        assert cartesian_inertia(centered, masses) \
             == pytest.approx(i_mutual, rel=1e-12, abs=1e-12)
 
 
@@ -162,8 +147,8 @@ def test_inertia_rigid_motion_invariance(draw_system, rng):
     for _ in range(100):
         config, masses = draw_system()
         i0 = moment_of_inertia(config, masses)
-        moved = config.rotated(float(rng.uniform(0, 2 * math.pi)))
-        moved = moved.translated(rng.uniform(-5, 5, size=2))
+        turn = rotation(float(rng.uniform(0, 2 * math.pi)))
+        moved = PlanarConfiguration(config.q @ turn.T + rng.uniform(-5, 5, size=2))
         assert moment_of_inertia(moved, masses) == pytest.approx(i0, rel=1e-12)
 
 
@@ -206,7 +191,7 @@ def test_harmonic_gradient_identity(draw_system):
         config, masses = draw_system()
         gu = potential_gradient(HARMONIC, config, masses)
         gi = inertia_gradient(config, masses)
-        scale = 0.5 * total_mass(masses)
+        scale = 0.5 * masses.total
         err = np.linalg.norm(gu - scale * gi)
         assert err <= 1e-12 * (1.0 + np.linalg.norm(gu))
 
@@ -241,8 +226,9 @@ def test_total_energy():
     assert total_energy(HARMONIC, rest, M4) == pytest.approx(8.0, rel=1e-15)
     origin = PhaseState([[0.0, 0.0]] * 2, np.zeros((2, 2)))
     assert total_energy(HARMONIC, origin, MassVector([1.0, 1.0])) == 0.0
+    # kinetic (1/2) sum_i m_i |v_i|^2 = 4 on top of U = 8
     moving = PhaseState(RHOMBUS, np.ones((4, 2)))
-    assert kinetic_energy(moving, M4) == pytest.approx(4.0)
+    assert total_energy(HARMONIC, moving, M4) == pytest.approx(12.0, rel=1e-15)
 
 
 def test_ops_reject_length_mismatch():
@@ -412,11 +398,10 @@ def _state(config):
 GATED_OPERATIONS = {
     "center_of_mass": lambda q, m: center_of_mass(q, m),
     "moment_of_inertia": lambda q, m: moment_of_inertia(q, m),
-    "moment_of_inertia_cartesian": lambda q, m: moment_of_inertia_cartesian(q, m),
     "potential_energy": lambda q, m: potential_energy(NEWTONIAN, q, m),
     "potential_gradient": lambda q, m: potential_gradient(HARMONIC, q, m),
     "inertia_gradient": lambda q, m: inertia_gradient(q, m),
-    "kinetic_energy": lambda q, m: kinetic_energy(_state(q), m),
+    "total_energy": lambda q, m: total_energy(HARMONIC, _state(q), m),
     # without the gate these two surfaced as numpy ValueError / IndexError
     "accelerations-harmonic": lambda q, m: accelerations(HARMONIC, q, m),
     "accelerations-newtonian": lambda q, m: accelerations(NEWTONIAN, q, m),

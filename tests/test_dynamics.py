@@ -228,7 +228,7 @@ def test_harmonic_flow_reproduces_rhombus_formula(k):
 def test_rotating_solution_identity_at_t0():
     tri = equilateral()
     masses = MassVector([1.0, 1.0, 1.0])
-    centered = tri.translated(-np.array([0.5, math.sqrt(3.0) / 6.0]))
+    centered = PlanarConfiguration(tri.q - [0.5, math.sqrt(3.0) / 6.0])
     traj = rotating_re_trajectory(centered, masses, [0.0])
     assert traj.q[0] == pytest.approx(centered.q, abs=1e-15)
     # tangential velocities: v is perpendicular to q with speed sqrt(M) |q|

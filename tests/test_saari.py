@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harmonia import (
@@ -34,6 +34,7 @@ from harmonia import (
     total_energy,
     verify_counterexample,
 )
+from harmonia.core import _cm_offsets
 
 HARMONIC = PotentialSpec.harmonic()
 M4 = rhombus_masses()
@@ -61,12 +62,13 @@ def test_rigid_fit_identity():
     assert fit.residual == 0.0
     assert fit.omega == pytest.approx(np.eye(2), abs=1e-15)
     assert fit.det_sign == 1
+    assert not fit.omega.flags.writeable
 
 
 def test_rigid_fit_recovers_exact_rotation(rng):
     config = PlanarConfiguration(rng.uniform(-3, 3, size=(5, 2)))
     masses = MassVector(rng.uniform(0.5, 4.0, size=5))
-    fit = rigid_fit(config.rotated(math.pi / 2.0), config, masses)
+    fit = rigid_fit(PlanarConfiguration(config.q @ rotation(math.pi / 2.0).T), config, masses)
     assert fit.residual <= 1e-12
     assert fit.omega == pytest.approx(rotation(math.pi / 2.0), abs=1e-12)
 
@@ -105,8 +107,8 @@ def test_rigid_fit_invariant_under_joint_rotation(rng):
     masses = MassVector(rng.uniform(0.5, 2.0, size=4))
     base = rigid_fit(config, other, masses).residual
     for angle in (0.4, 1.9, 5.0):
-        a = config.rotated(angle)
-        b = other.rotated(angle)
+        a = PlanarConfiguration(config.q @ rotation(angle).T)
+        b = PlanarConfiguration(other.q @ rotation(angle).T)
         assert abs(rigid_fit(a, b, masses).residual - base) <= 1e-12
 
 
@@ -401,3 +403,112 @@ def test_reflection_branch_is_bit_identical_to_the_written_out_fit(rng):
         assert fit.det_sign == sign
         reflections += sign == -1
     assert reflections >= 300
+
+
+# -- an exact Saari oracle for the harmonic flow --------------------------------
+#
+# Under U = (M/2) I every CM offset moves as A cos(w t) + B sin(w t), with
+# w = sqrt(M), A = dq and B = dv / w. In the mass-weighted product
+# <X, Y> = sum_i m_i X_i . Y_i,
+#     I(t) = (|A|^2 + |B|^2) / 2 + (|A|^2 - |B|^2) / 2 cos 2wt + <A, B> sin 2wt,
+# so I is constant iff |A| = |B| and <A, B> = 0, and the motion is a relative
+# equilibrium iff B = +-J A, with J the quarter turn.
+
+QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def weighted_dot(x, y, m):
+    return float(m @ (x * y).sum(axis=1))
+
+
+def harmonic_saari_oracle(state, masses, tol=1e-9):
+    """The Saari class of the harmonic flow from ``state``, read off A and B."""
+    a = _cm_offsets(state.config.q, masses.m)[1]
+    b = _cm_offsets(state.v, masses.m)[1] / math.sqrt(masses.total)
+    scale = weighted_dot(a, a, masses.m)
+    if abs(weighted_dot(b, b, masses.m) - scale) > tol * scale \
+            or abs(weighted_dot(a, b, masses.m)) > tol * scale:
+        return VARYING_INERTIA
+    ja = a @ QUARTER_TURN.T
+    if min(weighted_dot(d, d, masses.m) for d in (b - ja, b + ja)) <= tol * scale:
+        return RELATIVE_EQUILIBRIUM
+    return CONSTANT_INERTIA_NOT_RE
+
+
+def best_orthogonal_misfit(x, y, m):
+    """min over orthogonal W of sum_i m_i |x_i - W y_i|^2, both branches in closed form."""
+    best = math.inf
+    for z in (y, y * [1.0, -1.0]):
+        dot = weighted_dot(x, z, m)
+        cross = float(m @ (x[:, 1] * z[:, 0] - x[:, 0] * z[:, 1]))
+        best = min(best, weighted_dot(x, x, m) + weighted_dot(z, z, m)
+                   - 2.0 * math.hypot(dot, cross))
+    return best
+
+
+@st.composite
+def harmonic_states(draw):
+    """A state of one Saari class with |A| = 1, far from the classifier's tolerances.
+
+    Varying draws move I by a relative amount of order 1; relative
+    equilibria and constant-inertia draws hold I to rounding; the quarter-
+    period shape B of a constant-inertia draw misfits A by at least 0.1.
+    """
+    n = draw(st.integers(2, 8))
+    # for n = 2 the offsets span a plane, so |A| = |B|, <A, B> = 0 force B = +-J A
+    kind = draw(st.sampled_from([RELATIVE_EQUILIBRIUM, VARYING_INERTIA]
+                                + [CONSTANT_INERTIA_NOT_RE] * (n >= 3)))
+    m = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    points = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                      min_size=n, max_size=n)
+
+    def unit_offsets():
+        x = _cm_offsets(np.array(draw(points)), m)[1]
+        norm = math.sqrt(weighted_dot(x, x, m))
+        assume(norm >= 0.1)
+        return x / norm
+
+    a = unit_offsets()
+    ja = a @ QUARTER_TURN.T
+    if kind == RELATIVE_EQUILIBRIUM:
+        b = draw(st.sampled_from([1.0, -1.0])) * ja
+    elif kind == VARYING_INERTIA:
+        c = unit_offsets()
+        if draw(st.booleans()):
+            b = draw(st.one_of(st.floats(0.2, 0.6), st.floats(1.5, 3.0))) * c
+        else:
+            # |B| = |A|, but <A, B> = cos(psi) >= 1/2
+            w = c - weighted_dot(c, a, m) * a
+            assume(weighted_dot(w, w, m) >= 0.01)
+            psi = draw(st.floats(0.5, 1.0))
+            b = math.cos(psi) * a + math.sin(psi) * w / math.sqrt(weighted_dot(w, w, m))
+    else:
+        c = unit_offsets()
+        w = c - weighted_dot(c, a, m) * a - weighted_dot(c, ja, m) * ja
+        assume(weighted_dot(w, w, m) >= 0.01)
+        phi = draw(st.floats(math.pi / 3.0, 2.0 * math.pi / 3.0))
+        b = math.cos(phi) * ja + math.sin(phi) * w / math.sqrt(weighted_dot(w, w, m))
+        assume(best_orthogonal_misfit(b, a, m) >= 0.01)
+    q_cm, v_cm = (np.array(draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+                  for _ in range(2))
+    masses = MassVector(m)
+    return PhaseState(q_cm + a, v_cm + math.sqrt(masses.total) * b), masses, kind
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=harmonic_states())
+def test_saari_check_agrees_with_the_harmonic_oracle(drawn):
+    state, masses, kind = drawn
+    assert harmonic_saari_oracle(state, masses) == kind
+    # one period, 800 rk4 steps: rk4 keeps I to ~1e-12 relative at w dt = 2 pi / 800
+    period = 2.0 * math.pi / math.sqrt(masses.total)
+    flows = (integrate(state, IntegratorSpec("rk4", period / 800, period, 8), HARMONIC, masses),
+             harmonic_flow(state, masses, np.linspace(0.0, period, 101)))
+    for traj in flows:
+        report = saari_check(traj)
+        assert report.classification == kind
+        if kind == CONSTANT_INERTIA_NOT_RE:
+            # the frame-free witness: some pair distance swings
+            assert report.certificate_variation >= 1e-3
+        elif kind == RELATIVE_EQUILIBRIUM:
+            assert report.certificate_variation <= 1e-9
