@@ -32,11 +32,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def rotation(angle: float) -> np.ndarray:
-    """Counterclockwise rotation matrix for ``angle`` radians."""
-    c = float(np.cos(angle))
-    s = float(np.sin(angle))
-    return np.array([[c, -s], [s, c]])
+def rotation(angle) -> np.ndarray:
+    """Counterclockwise rotation matrix for ``angle`` radians, (..., 2, 2) for angles (...)."""
+    c = np.cos(angle)
+    s = np.sin(angle)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,8 @@ def mutual_distances(config) -> MutualDistanceTable:
     Raises ValidationError on ``r`` when a distance overflows (positions
     too far out for doubles).
     """
-    r = _distance_matrix(as_configuration(config).q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _distance_matrix(as_configuration(config).q)
     if not np.all(np.isfinite(r)):
         raise ValidationError("r", "distances must be finite")
     return MutualDistanceTable(_frozen(r))

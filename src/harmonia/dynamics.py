@@ -134,8 +134,7 @@ class Trajectory:
     @cached_property
     def energy(self) -> np.ndarray:
         """Total energy T + U at every sample, shape (S,)."""
-        # one dot product per sample: a batched (S, n) @ m rounds differently
-        kinetic = 0.5 * np.array([self.m.m @ vv for vv in (self.v * self.v).sum(axis=2)])
+        kinetic = 0.5 * np.vecdot((self.v * self.v).sum(axis=2), self.m.m)
         return _frozen(kinetic + self.potential_energy)
 
 

@@ -8,8 +8,8 @@ defect. A trajectory with constant moment of inertia but positive defect
 certifies that constant inertia does not force rigid rotation.
 
 Trajectories are read as arrays: the inertia series is the one the
-trajectory computes once, center-of-mass offsets are fitted sample by
-sample against the first, and pair distances are swept all at once.
+trajectory computes once, center-of-mass offsets of all samples are fitted
+against the first in one stacked call, and pair distances are swept at once.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PlanarConfiguration,
     PotentialSpec,
     _bodies,
     _cm_offsets,
     _frozen,
+    _gradient_rows,
     _pair_offsets,
     as_configuration,
     rotation,
@@ -32,7 +32,6 @@ from .core import (
 from .dynamics import (
     IntegratorSpec,
     Trajectory,
-    accelerations,
     build_theorem2_state,
     integrate,
     rhombus_masses,
@@ -102,6 +101,20 @@ class CounterexampleReport:
     verdict: bool
 
 
+def _best_rotation(a: np.ndarray, c: np.ndarray, w: np.ndarray):
+    """The rotation Omega of ``c`` onto ``a`` minimizing sum_i w_i |a_i - Omega c_i|^2,
+    and that minimum, for (n, 2) point sets or stacks (..., n, 2) of them. The angle is
+    in closed form ((±0, ±0) gives the identity) and the misfit is evaluated directly,
+    so exact fits come out at roundoff. A stacked row rounds as it alone would:
+    ``np.vecdot`` is the 1-D dot, and the angles use ``math.atan2``, not ``np.arctan2``."""
+    dot = np.vecdot(a[..., 0] * c[..., 0] + a[..., 1] * c[..., 1], w)
+    cross = np.vecdot(a[..., 1] * c[..., 0] - a[..., 0] * c[..., 1], w)
+    angle = np.vectorize(math.atan2, otypes=[float])(cross, dot)
+    omega = rotation(np.where((dot == 0.0) & (cross == 0.0), 0.0, angle))
+    d = a - c @ np.swapaxes(omega, -1, -2)
+    return omega, np.vecdot((d * d).sum(axis=-1), w)
+
+
 def rigid_fit(config, ref, m, allow_reflection: bool = True) -> RigidFitResult:
     """Mass-weighted orthogonal Procrustes fit of two point sets as given.
 
@@ -114,26 +127,14 @@ def rigid_fit(config, ref, m, allow_reflection: bool = True) -> RigidFitResult:
     the identity is returned and the residual is computed directly.
     """
     config, m = _bodies(config, m)
-    a = config.q
-    b = as_configuration(ref).q
+    a, b = config.q, as_configuration(ref).q
     if a.shape != b.shape:
         raise ValidationError("ref", "configurations must have the same body count")
-    w = m.m
-
-    def best_rotation(c: np.ndarray):
-        # the rotation of c onto a, its angle in closed form; the misfit is then
-        # evaluated directly so exact fits come out at roundoff, not sqrt(eps)
-        dot = float(w @ (a[:, 0] * c[:, 0] + a[:, 1] * c[:, 1]))
-        cross = float(w @ (a[:, 1] * c[:, 0] - a[:, 0] * c[:, 1]))
-        omega = rotation(math.atan2(cross, dot) if (dot, cross) != (0.0, 0.0) else 0.0)
-        d = a - c @ omega.T
-        return omega, float(w @ (d * d).sum(axis=1))
-
-    omega, best = best_rotation(b)
+    omega, best = _best_rotation(a, b, m.m)
     sign = 1
     if allow_reflection:
         # the reflection Omega diag(1, -1) of ref is the rotation Omega of its mirror image
-        omega_r, trial = best_rotation(b * [1.0, -1.0])
+        omega_r, trial = _best_rotation(a, b * [1.0, -1.0], m.m)
         if trial < best:
             omega, best, sign = omega_r @ np.diag([1.0, -1.0]), trial, -1
     return RigidFitResult(_frozen(omega), math.sqrt(best / m.total), sign)
@@ -179,9 +180,12 @@ def is_relative_equilibrium(traj: Trajectory, tol: float = 1e-6) -> RigidityResu
     """
     _, offsets = _cm_offsets(traj.q, traj.m.m)
     _require_finite(center_of_mass_offset=float(np.abs(offsets).max()))
-    ref = PlanarConfiguration(offsets[0])
     threshold = float(tol) * math.sqrt(float(traj.inertia[0]))
-    residuals = np.array([rigid_fit(x, ref, traj.m).residual for x in offsets])
+    # rigid_fit of every sample onto the first: its rotation, then its reflection branch
+    ref = offsets[0]
+    best = _best_rotation(offsets, ref, traj.m.m)[1]
+    trial = _best_rotation(offsets, ref * [1.0, -1.0], traj.m.m)[1]
+    residuals = np.sqrt(np.where(trial < best, trial, best) / traj.m.total)
     worst = int(residuals.argmax())
     defect = float(residuals[worst])
     worst_var, worst_pair, _ = _pair_distance_variations(traj)
@@ -263,7 +267,7 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
     analytic = np.zeros((times.size, 4, 2))
     analytic[:, 0, 1], analytic[:, 3, 1] = ddy1, -ddy1
     analytic[:, 1, 0], analytic[:, 2, 0] = -ddx3, ddx3
-    numeric = np.array([accelerations(harmonic, q, masses) for q in closed.q])
+    numeric = -_gradient_rows(harmonic, closed.q, masses.m) / masses.m[:, None]
     eom_err = float(np.abs(numeric - analytic).max())
 
     # (b) inertia constancy, closed form and integrated flow

@@ -389,14 +389,15 @@ def test_verify_continuum_holds_across_scales(k):
 
 
 def counting_rigid_fit(monkeypatch):
+    """One entry per pair of samples that _equivalent_pairs fits."""
     calls = []
-    fit = central_config.rigid_fit
+    fit = central_config._best_rotation
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fit(*args, **kwargs)
+    def counted(a, c, w):
+        calls.extend(zip(a.reshape(-1, *a.shape[-2:]), c.reshape(-1, *c.shape[-2:])))
+        return fit(a, c, w)
 
-    monkeypatch.setattr(central_config, "rigid_fit", counted)
+    monkeypatch.setattr(central_config, "_best_rotation", counted)
     return calls
 
 

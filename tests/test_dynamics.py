@@ -24,6 +24,7 @@ from harmonia import (
     rhombus_trajectory,
     rotating_re_trajectory,
     rotation,
+    total_energy,
 )
 from harmonia.dynamics import MAX_SAMPLES, MAX_STEPS
 from conftest import central_difference_gradient, equilateral
@@ -154,6 +155,18 @@ def test_energy_drift_on_exact_trajectory():
     times = np.linspace(0.0, 2.0 * math.pi, 2001)
     traj = rhombus_trajectory(1.0, times)
     assert energy_drift(traj) <= 1e-12
+
+
+def test_energy_series_is_bit_identical_to_total_energy_per_sample(rng):
+    # the series is one stacked pass; each entry rounds as the one-sample total does
+    for n in [*range(2, 9), 30]:
+        masses = MassVector(rng.uniform(0.1, 10.0, size=n))
+        q = rng.normal(size=(4, n, 2)) * 10.0 ** rng.uniform(-4.0, 4.0)
+        v = rng.normal(size=(4, n, 2)) * 10.0 ** rng.uniform(-4.0, 4.0)
+        for potential in (HARMONIC, PotentialSpec.newtonian()):
+            traj = Trajectory(np.arange(4.0), q, v, potential, masses)
+            assert traj.energy.tolist() == [
+                total_energy(potential, PhaseState(x, y), masses) for x, y in zip(q, v)]
 
 
 def test_energy_drift_single_sample():

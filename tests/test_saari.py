@@ -35,6 +35,7 @@ from harmonia import (
     verify_counterexample,
 )
 from harmonia.core import _cm_offsets
+from harmonia.saari import _best_rotation
 
 HARMONIC = PotentialSpec.harmonic()
 M4 = rhombus_masses()
@@ -403,6 +404,48 @@ def test_reflection_branch_is_bit_identical_to_the_written_out_fit(rng):
         assert fit.det_sign == sign
         reflections += sign == -1
     assert reflections >= 300
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def test_stacked_kernel_rows_are_bit_identical_to_the_written_out_fit(rng):
+    # each row of a stacked fit, and of its two-branch selection, rounds as that
+    # row alone does, signed zeros included; the draws include angles where
+    # np.arctan2 and math.atan2 disagree, so the kernel must keep math.atan2
+    atan2_disagreements = 0
+    for n in [*range(2, 9), 30]:
+        rows = 240
+        w = rng.uniform(0.1, 10.0, size=n)
+        a = rng.uniform(-1.0, 1.0, size=(rows, n, 2)) * 10.0 ** rng.uniform(-4.0, 4.0, (rows, 1, 1))
+        b = rng.uniform(-1.0, 1.0, size=(rows, n, 2)) * 10.0 ** rng.uniform(-4.0, 4.0, (rows, 1, 1))
+        turned = a @ rotation(rng.uniform(0.0, 2.0 * math.pi, size=rows)).swapaxes(1, 2)
+        b[0::6] = a[0::6] * [1.0, -1.0]  # mirror images
+        b[1::6] = turned[1::6]  # rotated copies
+        b[2::6] = turned[2::6] * [-1.0, 1.0]  # rotated mirror images
+        b[3::12] = 0.0
+        b[9::12] = -0.0
+
+        omega, best = _best_rotation(a, b, w)
+        omega_r, trial = _best_rotation(a, b * [1.0, -1.0], w)
+        reflected = trial < best
+        chosen = np.where(reflected[:, None, None], omega_r @ np.diag([1.0, -1.0]), omega)
+        residual = np.sqrt(np.where(reflected, trial, best) / w.sum())
+        for r in range(rows):
+            ref_omega, ref_residual, ref_sign = written_out_fit(a[r], b[r], w)
+            assert np.array_equal(bits(chosen[r]), bits(ref_omega))
+            assert bits(residual[r]) == bits(ref_residual)
+            assert (-1 if reflected[r] else 1) == ref_sign
+            alone_omega, alone_best = _best_rotation(a[r], b[r], w)
+            assert np.array_equal(bits(omega[r]), bits(alone_omega))
+            assert bits(best[r]) == bits(alone_best)
+
+        dot = np.vecdot(a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1], w)
+        cross = np.vecdot(a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1], w)
+        exact = np.array([math.atan2(y, x) for y, x in zip(cross, dot)])
+        atan2_disagreements += int((np.arctan2(cross, dot) != exact).sum())
+    assert atan2_disagreements >= 10
 
 
 # -- an exact Saari oracle for the harmonic flow --------------------------------
