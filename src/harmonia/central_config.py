@@ -31,22 +31,16 @@ from .core import (
     potential_gradient,
 )
 from .errors import CollisionSingularity, DegenerateGradient, NoConvergence, ValidationError
-from .saari import _best_rotation
 
 _DEGENERATE_EPS = 1e-14
 _INERTIA_REL_TOL = 1e-12
 # refine_cc refuses a target inertia that q_cm + x carries to fewer digits
 _RESOLVED_INERTIA_RTOL = 1e-8
 
-# the r23 screen of _equivalent_pairs fits no pair of family members when
-# k > 2e-18 n_samples^4 (k = 1 up to this cap: the smallest r23 gap, ~6.5e-9
-# near eta = pi/2, clears the 2.45e-9 margin); verify_continuum's time is then
-# linear in the sample count
+# verify_continuum's time grows about linearly with the sample count: 16384 samples
+# take ~2 s on a 2-vCPU Xeon
 MAX_FAMILY_SAMPLES = 16384
-# _equivalent_pairs fits at most this many pairs: every pair of 1024 samples (~1.6 s,
-# ~210 MB peak RSS on a 2-vCPU Xeon), so up to 1024 samples no k is refused
-_MAX_FITTED_PAIRS = 1024 * 1023 // 2
-# a rotation that fits two samples to this rigid_fit residual makes them one shape
+# a rotation that fits two samples to this rigid_fit residual, times sqrt(k), makes them one shape
 _EQUIVALENCE_TOL = 1e-9
 # rounding allowance of the pair-distance screen, in units of the largest coordinate
 _SCREEN_ROUNDING = 64.0 * np.finfo(float).eps
@@ -271,18 +265,15 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
 
     Draws eta uniformly in (0, pi/2] (the open end avoids the coincident
     pair at eta = 0). The verdict is true when every sample is a central
-    configuration within ``tol``, has inertia k to 1e-12 relative, and no
-    rotation about the center of mass fits one sample onto another to a
-    ``rigid_fit`` residual of 1e-9. That last check screens the pairs by
-    their base length r23 (``_equivalent_pairs``): a rotation with residual
-    rho changes no pair distance by more than sqrt(2M / m_min) rho = sqrt(6) rho,
-    so only pairs whose r23 lie within the margin sqrt(6) (1e-9 + 64 eps
-    max|offset|) are fitted. The margin is absolute while r23 scales with
-    sqrt(k), so no pair is fitted when k > 2e-18 n_samples^4 (at k = 1, up
-    to MAX_FAMILY_SAMPLES) and the time is then linear in n_samples; below
-    that, close pairs are fitted, and more than _MAX_FITTED_PAIRS of them
-    raise ValidationError before any residual is computed. At most
-    MAX_FAMILY_SAMPLES samples are accepted. ``theorem1_family`` checks k.
+    configuration within ``tol``, has inertia k to 1e-12 relative, and the
+    base lengths r23 tell every two samples apart (``_unseparated_pairs``):
+    a rotation about the center of mass that fits one sample onto another
+    to a ``rigid_fit`` residual of 1e-9 sqrt(k) moves r23 by no more than
+    the screen margin sqrt(6) (1e-9 sqrt(k) + 64 eps max|offset|). Two
+    samples whose r23 lie within that margin of each other fail the
+    certificate; no fit is made. Margin and r23 both scale with sqrt(k),
+    so the verdict does not depend on k. At most MAX_FAMILY_SAMPLES samples
+    are accepted. ``theorem1_family`` checks k.
     """
     if not 2 <= n_samples <= MAX_FAMILY_SAMPLES or int(n_samples) != n_samples:
         raise ValidationError("n_samples", f"need 2 to {MAX_FAMILY_SAMPLES} samples")
@@ -293,7 +284,7 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     etas = [(math.pi / 2.0) * j / n_samples for j in range(1, n_samples + 1)]
     configs = [theorem1_family(k, eta) for eta in etas]
     _, offsets = _cm_offsets(np.stack([config.q for config in configs]), masses.m)
-    equivalent = _equivalent_pairs(offsets, masses, _EQUIVALENCE_TOL)
+    margin, unseparated = _unseparated_pairs(offsets, masses, _EQUIVALENCE_TOL * math.sqrt(k))
     samples = []
     failures = []
     for eta, config in zip(etas, configs):
@@ -304,44 +295,28 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
         inertia = moment_of_inertia(config, masses)
         if abs(inertia - k) > _INERTIA_REL_TOL * k:
             failures.append(f"eta={eta:.6f}: inertia {inertia!r} misses k={k!r}")
-    for i, j in equivalent:
-        failures.append(
-            f"samples eta={etas[i]:.6f} and eta={etas[j]:.6f} "
-            "are rotationally equivalent")
+    for i, j in unseparated:
+        failures.append(f"samples eta={etas[i]:.6f} and eta={etas[j]:.6f} "
+                        f"are not told apart: r23 within {margin:.3e}")
     return ContinuumReport(float(k), tuple(samples), not failures, tuple(failures))
 
 
-def _equivalent_pairs(offsets: np.ndarray, masses: MassVector, tol: float) -> list:
-    """The pairs (i, j), i < j, of three-body configurations ``offsets`` (S, 3, 2)
-    that a rotation fits onto each other to a ``rigid_fit`` residual of at most
-    ``tol``, in (i, j) order.
+def _unseparated_pairs(offsets: np.ndarray, masses: MassVector, tol: float):
+    """The screen margin and the pairs (i, j), i < j, in (i, j) order, of
+    three-body configurations ``offsets`` (S, 3, 2) that are neighbours in
+    the order of r23 and whose r23 differ by at most that margin.
 
-    A pair distance screens the pairs. For any orthogonal Omega with misfits
-    e_i = a_i - Omega b_i and residual rho, sum m_i |e_i|^2 = M rho^2, so
-    |r_ij(a) - r_ij(b)| <= |e_i| + |e_j| <= sqrt(2M / m_min) rho. Two samples
-    whose r23 differ by more than margin = sqrt(2M / m_min) (tol + 64 eps
+    For any orthogonal Omega with misfits e_i = a_i - Omega b_i and residual
+    rho, sum m_i |e_i|^2 = M rho^2, so |r_ij(a) - r_ij(b)| <= |e_i| + |e_j|
+    <= sqrt(2M / m_min) rho. With margin = sqrt(2M / m_min) (tol + 64 eps
     max|offsets|), where the second term covers the rounding of r23 and of
-    the fit, are therefore inequivalent. Only the pairs inside the margin,
-    found by sorting r23, are fitted, in one stacked call; more than
-    _MAX_FITTED_PAIRS of them raise ValidationError before the first fit.
+    the fit, two samples that a rotation fits to a ``rigid_fit`` residual of
+    at most ``tol`` therefore lie in one run of reported neighbours.
     """
     r23 = _pair_offsets(offsets)[4][:, -1]
     bound = math.sqrt(2.0 * masses.total / float(masses.m.min()))
     margin = bound * (tol + _SCREEN_ROUNDING * float(np.abs(offsets).max()))
     order = np.argsort(r23)
-    ranked = r23[order]
-    stop = np.searchsorted(ranked, ranked + margin, side="right")
-    n_close = int((stop - np.arange(1, len(ranked) + 1)).sum())
-    if n_close > _MAX_FITTED_PAIRS:
-        raise ValidationError(
-            "n_samples", f"{n_close} pairs of samples lie within the r23 screen margin "
-            f"{margin:.3e}, more than the {_MAX_FITTED_PAIRS} that can be fitted; "
-            "use fewer samples or a larger k")
-    if not n_close:
-        return []
-    # the close pairs a < b < stop[a] of r23 ranks, fitted as samples i < j like rigid_fit
-    a = np.repeat(np.arange(len(ranked)), stop - np.arange(1, len(ranked) + 1))
-    b = a + 1 + np.arange(n_close) - np.searchsorted(a, a)
-    i, j = np.sort(np.stack([order[a], order[b]]), axis=0)
-    close = np.sqrt(_best_rotation(offsets[i], offsets[j], masses.m)[1] / masses.total) <= tol
-    return sorted(zip(i[close].tolist(), j[close].tolist()))
+    close = np.flatnonzero(np.diff(r23[order]) <= margin)
+    i, j = np.sort(np.stack([order[close], order[close + 1]]), axis=0)
+    return margin, sorted(zip(i.tolist(), j.tolist()))

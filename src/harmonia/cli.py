@@ -20,8 +20,9 @@ PotentialSpec, IntegratorSpec), and their errors name the field as the
 document does ("masses[0]", "integrator.stride"). A run may take at most
 dynamics.MAX_STEPS = 10^7 steps (t_end / dt) and retain at most
 dynamics.MAX_SAMPLES = 10^6 samples; ``family`` takes at most
-central_config.MAX_FAMILY_SAMPLES = 16384 samples, and refuses a small k
-at which more than 523 776 pairs of samples would need a rigidity fit.
+central_config.MAX_FAMILY_SAMPLES = 16384 samples; two samples whose
+base lengths lie within the screen margin of a 1e-9 sqrt(k) rotation
+tolerance fail the certificate.
 ``simulate`` replaces the file named by ``--out`` only when the run
 succeeds.
 

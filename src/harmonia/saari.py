@@ -115,16 +115,16 @@ def _best_rotation(a: np.ndarray, c: np.ndarray, w: np.ndarray):
     return omega, np.vecdot((d * d).sum(axis=-1), w)
 
 
-def rigid_fit(config, ref, m, allow_reflection: bool = True) -> RigidFitResult:
+def rigid_fit(config, ref, m) -> RigidFitResult:
     """Mass-weighted orthogonal Procrustes fit of two point sets as given.
 
     Minimizes sum_i m_i |config_i - Omega ref_i|^2 over orthogonal Omega,
-    searching the rotation branch and (unless ``allow_reflection`` is
-    false) the reflection branch; ties prefer the rotation. Omega turns
-    about the origin; a shape question passes offsets from the center of
-    mass. The residual is sqrt(min / M), a mass-weighted rms misfit. A
-    reference with every body at the origin leaves the map undetermined;
-    the identity is returned and the residual is computed directly.
+    searching the rotation and the reflection branch; ties prefer the
+    rotation. Omega turns about the origin; a shape question passes offsets
+    from the center of mass. The residual is sqrt(min / M), a mass-weighted
+    rms misfit. A reference with every body at the origin leaves the map
+    undetermined; the identity is returned and the residual is computed
+    directly.
     """
     config, m = _bodies(config, m)
     a, b = config.q, as_configuration(ref).q
@@ -132,11 +132,10 @@ def rigid_fit(config, ref, m, allow_reflection: bool = True) -> RigidFitResult:
         raise ValidationError("ref", "configurations must have the same body count")
     omega, best = _best_rotation(a, b, m.m)
     sign = 1
-    if allow_reflection:
-        # the reflection Omega diag(1, -1) of ref is the rotation Omega of its mirror image
-        omega_r, trial = _best_rotation(a, b * [1.0, -1.0], m.m)
-        if trial < best:
-            omega, best, sign = omega_r @ np.diag([1.0, -1.0]), trial, -1
+    # the reflection Omega diag(1, -1) of ref is the rotation Omega of its mirror image
+    omega_r, trial = _best_rotation(a, b * [1.0, -1.0], m.m)
+    if trial < best:
+        omega, best, sign = omega_r @ np.diag([1.0, -1.0]), trial, -1
     return RigidFitResult(_frozen(omega), math.sqrt(best / m.total), sign)
 
 

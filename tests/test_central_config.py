@@ -23,13 +23,13 @@ from harmonia import (
     mutual_distances,
     potential_energy,
     refine_cc,
-    rigid_fit,
     theorem1_family,
     verify_continuum,
 )
 from harmonia import central_config
-from harmonia.central_config import MAX_FAMILY_SAMPLES, _equivalent_pairs
+from harmonia.central_config import MAX_FAMILY_SAMPLES, _unseparated_pairs
 from harmonia.core import _cm_offsets, rotation
+from harmonia.saari import _best_rotation
 from conftest import equilateral
 
 HARMONIC = PotentialSpec.harmonic()
@@ -37,10 +37,15 @@ NEWTONIAN = PotentialSpec.newtonian()
 M3 = MassVector([1.0, 1.0, 1.0])
 
 
+def rotation_residual(a, b, m):
+    """``rigid_fit``'s residual on its rotation branch alone: the best rotation of b onto a."""
+    return math.sqrt(_best_rotation(a, b, m.m)[1] / m.total)
+
+
 def rotationally_equivalent(a, b, m):
-    """The test ``verify_continuum`` applies: a rotation about the center of mass fits b onto a."""
-    a, b = (PlanarConfiguration(_cm_offsets(c.q, m.m)[1]) for c in (a, b))
-    return rigid_fit(a, b, m, allow_reflection=False).residual <= 1e-9
+    """A rotation about the center of mass fits b onto a to a residual of 1e-9."""
+    a, b = (_cm_offsets(c.q, m.m)[1] for c in (a, b))
+    return rotation_residual(a, b, m) <= 1e-9
 
 
 def test_harmonic_everything_is_central(rng):
@@ -335,10 +340,9 @@ def test_verify_continuum_rejects_sample_counts_out_of_range(n_samples):
 
 
 def all_pairs_equivalent(offsets, masses):
-    """The all-pairs loop that ``_equivalent_pairs`` screens: every i < j is fitted."""
+    """The pairs i < j of CM offsets that a rotation fits onto each other within 1e-9."""
     return [(i, j) for i in range(len(offsets)) for j in range(i + 1, len(offsets))
-            if rigid_fit(offsets[i], offsets[j], masses,
-                         allow_reflection=False).residual <= 1e-9]
+            if rotation_residual(offsets[i], offsets[j], masses) <= 1e-9]
 
 
 def rotated_about_cm(config, angle):
@@ -375,37 +379,33 @@ def triangle_sets(draw):
     return np.stack([_cm_offsets(shapes[i], M3.m)[1] for i in order])
 
 
+def joined(pairs, n):
+    """Label of the run of ``pairs`` that each of n samples lies in."""
+    label = list(range(n))
+    for i, j in pairs:
+        old, new = label[j], label[i]
+        label = [new if x == old else x for x in label]
+    return label
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(offsets=triangle_sets())
-def test_equivalent_pairs_match_the_all_pairs_fit(offsets):
-    assert _equivalent_pairs(offsets, M3, 1e-9) == all_pairs_equivalent(offsets, M3)
+def test_unseparated_pairs_join_every_pair_the_all_pairs_fit_finds(offsets):
+    # the screen is sound: a pair within tol lies in one run of reported rank-neighbours
+    margin, pairs = _unseparated_pairs(offsets, M3, 1e-9)
+    assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
+    r23 = np.hypot(*(offsets[:, 2] - offsets[:, 1]).T)
+    assert all(abs(r23[i] - r23[j]) <= margin for i, j in pairs)
+    label = joined(pairs, len(offsets))
+    for i, j in all_pairs_equivalent(offsets, M3):
+        assert label[i] == label[j]
 
 
-@pytest.mark.parametrize("k", [1e-6, 1.0, 1e6, 1e12])
+@pytest.mark.parametrize("k", [1e-28, 1e-20, 1e-14, 1e-6, 1.0, 1e6, 1e12, 1e100, 1e300])
 def test_verify_continuum_holds_across_scales(k):
     report = verify_continuum(k, 128)
     assert report.verdict
     assert report.failures == ()
-
-
-def counting_rigid_fit(monkeypatch):
-    """One entry per pair of samples that _equivalent_pairs fits."""
-    calls = []
-    fit = central_config._best_rotation
-
-    def counted(a, c, w):
-        calls.extend(zip(a.reshape(-1, *a.shape[-2:]), c.reshape(-1, *c.shape[-2:])))
-        return fit(a, c, w)
-
-    monkeypatch.setattr(central_config, "_best_rotation", counted)
-    return calls
-
-
-def test_verify_continuum_fits_no_pair_of_distinct_members(monkeypatch):
-    # the r23 screen settles every pair, so the certificate costs O(S log S)
-    calls = counting_rigid_fit(monkeypatch)
-    assert verify_continuum(1.0, 128).verdict
-    assert calls == []
 
 
 def test_verify_continuum_names_repeated_samples_as_the_all_pairs_fit_did(monkeypatch):
@@ -422,41 +422,18 @@ def test_verify_continuum_names_repeated_samples_as_the_all_pairs_fit_did(monkey
         return family(k, eta(5) if angle == eta(20) else angle)
 
     monkeypatch.setattr(central_config, "theorem1_family", tampered)
-    calls = counting_rigid_fit(monkeypatch)
     report = verify_continuum(1.0, n)
     _, offsets = _cm_offsets(np.stack([s.config.q for s in report.samples]), M3.m)
-    expected = [f"samples eta={report.samples[i].eta:.6f} and eta={report.samples[j].eta:.6f} "
-                "are rotationally equivalent" for i, j in all_pairs_equivalent(offsets, M3)]
+    assert [(report.samples[i].eta, report.samples[j].eta)
+            for i, j in all_pairs_equivalent(offsets, M3)] == [(eta(3), eta(25)), (eta(5), eta(20))]
     assert not report.verdict
-    assert list(report.failures) == expected
-    assert expected == ["samples eta=0.147262 and eta=1.227185 are rotationally equivalent",
-                        "samples eta=0.245437 and eta=0.981748 are rotationally equivalent"]
-    assert len(calls) == 2
-
-
-def test_verify_continuum_at_small_k_reports_every_pair_the_all_pairs_fit_did(monkeypatch):
-    # at k = 1e-20 every r23 lies inside the absolute screen margin, so every pair is fitted
-    calls = counting_rigid_fit(monkeypatch)
-    report = verify_continuum(1e-20, 24)
-    _, offsets = _cm_offsets(np.stack([s.config.q for s in report.samples]), M3.m)
-    pairs = all_pairs_equivalent(offsets, M3)
-    assert len(pairs) == 24 * 23 // 2
-    assert len(calls) == len(pairs)
     assert list(report.failures) == [
-        f"samples eta={report.samples[i].eta:.6f} and eta={report.samples[j].eta:.6f} "
-        "are rotationally equivalent" for i, j in pairs]
+        "samples eta=0.147262 and eta=1.227185 are not told apart: r23 within 2.450e-09",
+        "samples eta=0.245437 and eta=0.981748 are not told apart: r23 within 2.450e-09"]
 
 
-def test_verify_continuum_refuses_more_close_pairs_than_it_may_fit(monkeypatch):
-    monkeypatch.setattr(central_config, "_MAX_FITTED_PAIRS", 24 * 23 // 2 - 1)
-    calls = counting_rigid_fit(monkeypatch)
-    with pytest.raises(ValidationError) as err:
-        verify_continuum(1e-20, 24)
-    assert err.value.field == "n_samples"
-    assert err.value.reason == ("276 pairs of samples lie within the r23 screen margin 2.449e-09, "
-                                "more than the 275 that can be fitted; use fewer samples or a larger k")
-    assert calls == []
-
-
-def test_no_k_is_refused_up_to_1024_samples():
-    assert central_config._MAX_FITTED_PAIRS >= 1024 * 1023 // 2
+def test_verify_continuum_at_small_k_tells_every_sample_apart():
+    # the tolerance scales with sqrt(k), as r23 does
+    report = verify_continuum(1e-20, 24)
+    assert report.verdict
+    assert report.failures == ()

@@ -476,14 +476,10 @@ def test_family_rejects_too_many_samples_at_once(capsys):
     assert capsys.readouterr().out == "error: n_samples: need 2 to 16384 samples\n"
 
 
-def test_family_at_tiny_k_fails_fast_instead_of_fitting_every_pair(capsys):
-    # every r23 lies inside the absolute screen margin: 134 209 536 pairs would need a fit
-    start = time.perf_counter()
-    assert main(["family", "--k", "1e-20", "--samples", "16384"]) == EXIT_ERROR
-    assert time.perf_counter() - start < 10.0
-    assert capsys.readouterr().out == (
-        "error: n_samples: 134209536 pairs of samples lie within the r23 screen margin "
-        "2.449e-09, more than the 523776 that can be fitted; use fewer samples or a larger k\n")
+def test_family_at_tiny_k_passes_at_the_sample_cap(capsys):
+    # the screen margin scales with sqrt(k), as r23 does
+    assert main(["family", "--k", "1e-20", "--samples", "16384"]) == EXIT_OK
+    assert "[PASS] continuum" in capsys.readouterr().out.splitlines()
 
 
 def test_saari_reports_non_finite_analysis(tmp_path, capsys):
