@@ -59,12 +59,10 @@ from .saari import (
     RELATIVE_EQUILIBRIUM,
     VARYING_INERTIA,
     CounterexampleReport,
-    RigidFitResult,
     RigidityResult,
     SaariReport,
     inertia_variation,
     is_relative_equilibrium,
-    rigid_fit,
     saari_check,
     verify_counterexample,
 )

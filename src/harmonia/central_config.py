@@ -32,7 +32,6 @@ from .core import (
 )
 from .errors import CollisionSingularity, DegenerateGradient, NoConvergence, ValidationError
 
-_DEGENERATE_EPS = 1e-14
 _INERTIA_REL_TOL = 1e-12
 # refine_cc refuses a target inertia that q_cm + x carries to fewer digits
 _RESOLVED_INERTIA_RTOL = 1e-8
@@ -40,7 +39,7 @@ _RESOLVED_INERTIA_RTOL = 1e-8
 # verify_continuum's time grows about linearly with the sample count: 16384 samples
 # take ~2 s on a 2-vCPU Xeon
 MAX_FAMILY_SAMPLES = 16384
-# a rotation that fits two samples to this rigid_fit residual, times sqrt(k), makes them one shape
+# a rotation that fits two samples to this rigidity residual, times sqrt(k), makes them one shape
 _EQUIVALENCE_TOL = 1e-9
 # rounding allowance of the pair-distance screen, in units of the largest coordinate
 _SCREEN_ROUNDING = 64.0 * np.finfo(float).eps
@@ -88,8 +87,10 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
     scale-insensitive residual |grad I - w2 grad U| / (1 + |grad I|).
     Raises ValidationError on ``q`` when a gradient or its norm overflows
     (the positions lie too far out for doubles), and DegenerateGradient when
-    grad U vanishes (total collision or an exact critical point of U),
-    where w2 is undetermined.
+    w2 is undetermined: every body sits at one point, or grad U . grad U
+    underflows to 0. Every supported potential is homogeneous of nonzero
+    degree, so grad U vanishes only at a total collision and no absolute
+    floor is set on |grad U|; the test holds at any scale.
     """
     config, m = _bodies(config, m)
     # an overflow shows up in the norms; finite norms bound everything after them
@@ -105,9 +106,10 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
         nu = math.inf
     if not math.isfinite(ni + nu):
         raise ValidationError("q", f"gradient overflow: |grad I| = {ni:.3e}, |grad U| = {nu:.3e}")
-    if nu <= _DEGENERATE_EPS * (1.0 + ni):
+    gu_sq = float(gu @ gu)
+    if gu_sq == 0.0 or (config.q == config.q[0]).all():
         raise DegenerateGradient(f"|grad U| = {nu:.3e} is degenerate")
-    w2 = float(gi @ gu) / float(gu @ gu)
+    w2 = float(gi @ gu) / gu_sq
     residual = float(np.linalg.norm(gi - w2 * gu)) / (1.0 + ni)
     return CCReport(residual, w2, residual <= tol, float(tol))
 
@@ -268,7 +270,7 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     configuration within ``tol``, has inertia k to 1e-12 relative, and the
     base lengths r23 tell every two samples apart (``_unseparated_pairs``):
     a rotation about the center of mass that fits one sample onto another
-    to a ``rigid_fit`` residual of 1e-9 sqrt(k) moves r23 by no more than
+    to a rigidity residual of 1e-9 sqrt(k) moves r23 by no more than
     the screen margin sqrt(6) (1e-9 sqrt(k) + 64 eps max|offset|). Two
     samples whose r23 lie within that margin of each other fail the
     certificate; no fit is made. Margin and r23 both scale with sqrt(k),
@@ -310,7 +312,7 @@ def _unseparated_pairs(offsets: np.ndarray, masses: MassVector, tol: float):
     rho, sum m_i |e_i|^2 = M rho^2, so |r_ij(a) - r_ij(b)| <= |e_i| + |e_j|
     <= sqrt(2M / m_min) rho. With margin = sqrt(2M / m_min) (tol + 64 eps
     max|offsets|), where the second term covers the rounding of r23 and of
-    the fit, two samples that a rotation fits to a ``rigid_fit`` residual of
+    the fit, two samples that a rotation fits to a rigidity residual of
     at most ``tol`` therefore lie in one run of reported neighbours.
     """
     r23 = _pair_offsets(offsets)[4][:, -1]

@@ -163,13 +163,50 @@ def _acceleration_function(potential: PotentialSpec, m: MassVector):
     return accel
 
 
+def _verlet_stepper(accel, q: np.ndarray, dt: float):
+    """Velocity Verlet ``step(q, v) -> (q, v)``, in place; it carries the
+    acceleration, so each step makes one ``accel`` call after the first at ``q``."""
+    a = accel(q)
+    half = 0.5 * dt
+
+    def step(q: np.ndarray, v: np.ndarray):
+        nonlocal a
+        v += half * a
+        q += dt * v
+        a = accel(q)
+        v += half * a
+        return q, v
+
+    return step
+
+
+def _rk4_stepper(accel, dt: float):
+    """Classical Runge-Kutta ``step(q, v) -> (q, v)``: four ``accel`` calls a step."""
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step(q: np.ndarray, v: np.ndarray):
+        k1v = accel(q)
+        k2v = accel(q + half * v)
+        k2q = v + half * k1v
+        k3v = accel(q + half * k2q)
+        k3q = v + half * k2v
+        k4v = accel(q + dt * k3q)
+        k4q = v + dt * k3v
+        return (q + sixth * (v + 2.0 * k2q + 2.0 * k3q + k4q),
+                v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+    return step
+
+
 def integrate(state0: PhaseState, integrator: IntegratorSpec,
               potential: PotentialSpec, m) -> Trajectory:
     """Integrate the equations of motion m_i q''_i = -dU/dq_i from ``state0``.
 
-    Raises NonFiniteState if any coordinate leaves IEEE range and
-    CollisionSingularity if a singular potential sees a pair separation
-    below the collision threshold.
+    Raises NonFiniteState if any coordinate leaves IEEE range, naming the
+    first retained step at or after the blow-up (finiteness is tested on
+    retained samples only; a non-finite coordinate stays non-finite under
+    both integrators), and CollisionSingularity if a singular potential
+    sees a pair separation below the collision threshold.
     """
     if not isinstance(state0, PhaseState):
         raise ValidationError("state0", "expected a PhaseState")
@@ -179,47 +216,30 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
 
     accel = _acceleration_function(potential, m)
     dt = integrator.dt
-    stride = integrator.sample_stride
     n_steps = integrator.n_steps
-    t0 = state0.t
+    stride = integrator.sample_stride
+    # the retained steps: every stride-th, and the last
+    steps = np.minimum(stride * np.arange(-(-n_steps // stride) + 1), n_steps)
+    times = state0.t + steps * dt
 
     q = np.array(state0.config.q)
     v = np.array(state0.v)
-    kept = [(0, q.copy(), v.copy())]
-
-    def check_finite(step: int) -> None:
-        if not (np.isfinite(q).all() and np.isfinite(v).all()):
-            raise NonFiniteState(f"non-finite state at step {step} (t={t0 + step * dt:g})")
+    qs = np.empty((steps.size, *q.shape))
+    vs = np.empty_like(qs)
+    qs[0], vs[0] = q, v
 
     # overflow on a diverging state is reported through NonFiniteState
     with np.errstate(over="ignore", invalid="ignore"):
-        if integrator.method == VELOCITY_VERLET:
-            a = accel(q)
-            for i in range(1, n_steps + 1):
-                v += 0.5 * dt * a
-                q += dt * v
-                a = accel(q)
-                v += 0.5 * dt * a
-                check_finite(i)
-                if i % stride == 0 or i == n_steps:
-                    kept.append((i, q.copy(), v.copy()))
-        else:
-            for i in range(1, n_steps + 1):
-                k1v = accel(q)
-                k2v = accel(q + 0.5 * dt * v)
-                k2q = v + 0.5 * dt * k1v
-                k3v = accel(q + 0.5 * dt * k2q)
-                k3q = v + 0.5 * dt * k2v
-                k4v = accel(q + dt * k3q)
-                k4q = v + dt * k3v
-                q = q + (dt / 6.0) * (v + 2.0 * k2q + 2.0 * k3q + k4q)
-                v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-                check_finite(i)
-                if i % stride == 0 or i == n_steps:
-                    kept.append((i, q.copy(), v.copy()))
+        step = _verlet_stepper(accel, q, dt) if integrator.method == VELOCITY_VERLET \
+            else _rk4_stepper(accel, dt)
+        for s in range(1, steps.size):
+            for _ in range(steps[s] - steps[s - 1]):
+                q, v = step(q, v)
+            if not (np.isfinite(q).all() and np.isfinite(v).all()):
+                raise NonFiniteState(f"non-finite state at step {steps[s]} (t={times[s]:g})")
+            qs[s], vs[s] = q, v
 
-    steps, qs, vs = zip(*kept)
-    return Trajectory(t0 + np.array(steps) * dt, np.stack(qs), np.stack(vs), potential, m)
+    return Trajectory(times, qs, vs, potential, m)
 
 
 def energy_drift(traj: Trajectory) -> float:

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MassVector,
     PotentialSpec,
-    _bodies,
     _cm_offsets,
-    _frozen,
     _gradient_rows,
     _pair_offsets,
-    as_configuration,
     rotation,
 )
 from .dynamics import (
@@ -44,15 +42,6 @@ CONSTANT_INERTIA_NOT_RE = "constant_inertia_not_re"
 VARYING_INERTIA = "varying_inertia"
 
 _PAIR_TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RigidFitResult:
-    """Best orthogonal alignment of one labeled configuration onto another."""
-
-    omega: np.ndarray
-    residual: float
-    det_sign: int
 
 
 @dataclass(frozen=True)
@@ -115,28 +104,16 @@ def _best_rotation(a: np.ndarray, c: np.ndarray, w: np.ndarray):
     return omega, np.vecdot((d * d).sum(axis=-1), w)
 
 
-def rigid_fit(config, ref, m) -> RigidFitResult:
-    """Mass-weighted orthogonal Procrustes fit of two point sets as given.
-
-    Minimizes sum_i m_i |config_i - Omega ref_i|^2 over orthogonal Omega,
-    searching the rotation and the reflection branch; ties prefer the
-    rotation. Omega turns about the origin; a shape question passes offsets
-    from the center of mass. The residual is sqrt(min / M), a mass-weighted
-    rms misfit. A reference with every body at the origin leaves the map
-    undetermined; the identity is returned and the residual is computed
-    directly.
-    """
-    config, m = _bodies(config, m)
-    a, b = config.q, as_configuration(ref).q
-    if a.shape != b.shape:
-        raise ValidationError("ref", "configurations must have the same body count")
-    omega, best = _best_rotation(a, b, m.m)
-    sign = 1
+def _rigid_residuals(offsets: np.ndarray, ref: np.ndarray, m: MassVector) -> np.ndarray:
+    """Mass-weighted orthogonal Procrustes residual of ``offsets``, an (n, 2) point
+    set or an (..., n, 2) stack, against ``ref``: sqrt(min / M) of
+    sum_i m_i |offsets_i - Omega ref_i|^2 over orthogonal Omega, searching the
+    rotation and the reflection branch. Omega turns about the origin; a shape
+    question passes offsets from the center of mass."""
+    best = _best_rotation(offsets, ref, m.m)[1]
     # the reflection Omega diag(1, -1) of ref is the rotation Omega of its mirror image
-    omega_r, trial = _best_rotation(a, b * [1.0, -1.0], m.m)
-    if trial < best:
-        omega, best, sign = omega_r @ np.diag([1.0, -1.0]), trial, -1
-    return RigidFitResult(_frozen(omega), math.sqrt(best / m.total), sign)
+    trial = _best_rotation(offsets, ref * [1.0, -1.0], m.m)[1]
+    return np.sqrt(np.where(trial < best, trial, best) / m.total)
 
 
 def inertia_variation(traj: Trajectory) -> float:
@@ -149,17 +126,13 @@ def inertia_variation(traj: Trajectory) -> float:
 
 
 def _pair_distance_variations(traj: Trajectory):
-    """Largest swing of a pair distance, its 1-based pair, and the (S, P) distances.
-
-    Column p holds r_ij over the samples for the p-th pair i < j of
-    ``core._pair_offsets``, in row-major order.
-    """
+    """Largest swing of a pair distance over the samples, and its 1-based pair."""
     i, j, _, _, dist = _pair_offsets(traj.q)
     spread = dist.max(axis=0) - dist.min(axis=0)
     worst = float(spread.max())
     # deterministic certificate: among near-ties take the first pair by label
     first = int(np.argmax(spread >= worst - _PAIR_TIE_TOL * max(1.0, worst)))
-    return worst, (int(i[first]) + 1, int(j[first]) + 1), dist
+    return worst, (int(i[first]) + 1, int(j[first]) + 1)
 
 
 def _require_finite(**measures: float) -> None:
@@ -173,21 +146,18 @@ def _require_finite(**measures: float) -> None:
 def is_relative_equilibrium(traj: Trajectory, tol: float = 1e-6) -> RigidityResult:
     """Decide whether the sampled trajectory is a rigid rotation about its center of mass.
 
-    True when the supremum over samples of the rigid-fit residual of the CM
-    offsets against the first sample's stays below tol * sqrt(I(t0)). Also
+    True when the supremum over samples of the rigidity residual
+    (``_rigid_residuals``) of the CM offsets against the first sample's stays
+    below tol * sqrt(I(t0)). Also
     reports the cheap necessary condition: the largest swing of any pair distance.
     """
     _, offsets = _cm_offsets(traj.q, traj.m.m)
     _require_finite(center_of_mass_offset=float(np.abs(offsets).max()))
     threshold = float(tol) * math.sqrt(float(traj.inertia[0]))
-    # rigid_fit of every sample onto the first: its rotation, then its reflection branch
-    ref = offsets[0]
-    best = _best_rotation(offsets, ref, traj.m.m)[1]
-    trial = _best_rotation(offsets, ref * [1.0, -1.0], traj.m.m)[1]
-    residuals = np.sqrt(np.where(trial < best, trial, best) / traj.m.total)
+    residuals = _rigid_residuals(offsets, offsets[0], traj.m)
     worst = int(residuals.argmax())
     defect = float(residuals[worst])
-    worst_var, worst_pair, _ = _pair_distance_variations(traj)
+    worst_var, worst_pair = _pair_distance_variations(traj)
     return RigidityResult(
         is_re=defect <= threshold,
         defect=defect,
@@ -278,7 +248,7 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
     rigidity = is_relative_equilibrium(closed, tol=1e-6)
     witness_idx = int(np.argmin(np.abs(times - math.pi / 4.0)))
     _, offsets = _cm_offsets(closed.q, masses.m)
-    witness_defect = rigid_fit(offsets[witness_idx], offsets[0], masses).residual
+    witness_defect = float(_rigid_residuals(offsets[witness_idx], offsets[0], masses))
 
     i, j, dx, dy, dist = _pair_offsets(closed.q)
     r14_sq = (dx * dx + dy * dy)[:, 2]  # pair (1, 4), the third in row-major order

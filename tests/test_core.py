@@ -25,7 +25,6 @@ from harmonia import (
     potential_energy,
     potential_gradient,
     refine_cc,
-    rigid_fit,
     rotating_re_trajectory,
     rotation,
     total_energy,
@@ -410,7 +409,6 @@ GATED_OPERATIONS = {
     "rotating_re_trajectory": lambda q, m: rotating_re_trajectory(q, m, [0.0, 1.0]),
     "cc_residual": lambda q, m: cc_residual(q, m, HARMONIC),
     "refine_cc": lambda q, m: refine_cc(q, m, HARMONIC, 1.0),
-    "rigid_fit": lambda q, m: rigid_fit(q, q, m),
 }
 
 

@@ -26,6 +26,7 @@ from harmonia import (
     rotation,
     total_energy,
 )
+from harmonia import dynamics
 from harmonia.dynamics import MAX_SAMPLES, MAX_STEPS
 from conftest import central_difference_gradient, equilateral
 
@@ -147,8 +148,28 @@ def test_nonfinite_state_detected():
     masses = MassVector([1.0, 1.0])
     state = PhaseState(config, np.zeros((2, 2)))
     spec = PotentialSpec.power(9.0, 100.0)
-    with pytest.raises(NonFiniteState):
+    # finiteness is tested on retained samples (every 10th step): the first one
+    # at or after the blow-up is named
+    with pytest.raises(NonFiniteState, match=r"step 10 \(t=5\)"):
         integrate(state, IntegratorSpec("rk4", 0.5, 400.0), spec, masses)
+
+
+@pytest.mark.parametrize("method, calls", [("velocity_verlet", 15 + 1), ("rk4", 4 * 15)])
+def test_integrators_make_a_fixed_number_of_kernel_calls(monkeypatch, method, calls):
+    # one pair-kernel call to start and one per step for Verlet, four per step for rk4,
+    # none past the last step; 15 steps at stride 10 keep steps 0, 10 and 15
+    kernel = dynamics._gradient_rows
+    seen = []
+
+    def counted(*args):
+        seen.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(dynamics, "_gradient_rows", counted)
+    state = PhaseState(equilateral(), np.zeros((3, 2)))
+    traj = integrate(state, IntegratorSpec(method, 0.01, 0.15), PotentialSpec.newtonian(), M3)
+    assert len(seen) == calls
+    assert traj.times.tolist() == [0.0, 10 * 0.01, 15 * 0.01]
 
 
 def test_energy_drift_on_exact_trajectory():
