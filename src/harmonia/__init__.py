@@ -21,7 +21,6 @@ from .core import (
     PotentialSpec,
     as_configuration,
     as_mass_vector,
-    center_of_mass,
     inertia_gradient,
     moment_of_inertia,
     mutual_distances,
@@ -35,7 +34,6 @@ from .dynamics import (
     VELOCITY_VERLET,
     IntegratorSpec,
     Trajectory,
-    accelerations,
     build_theorem2_state,
     energy_drift,
     harmonic_flow,

@@ -24,11 +24,11 @@ from .core import (
     _bodies,
     _centering_hessian,
     _cm_offsets,
+    _gradient_rows,
     _hessian_rows,
+    _inertia,
+    _mass_weighted_offsets,
     _pair_offsets,
-    inertia_gradient,
-    moment_of_inertia,
-    potential_gradient,
 )
 from .errors import CollisionSingularity, DegenerateGradient, NoConvergence, ValidationError
 
@@ -57,17 +57,12 @@ class CCReport:
 
 @dataclass(frozen=True)
 class FamilySample:
-    """One member of the isosceles family with its verdict."""
+    """One member of the isosceles family, its verdict and the r23 the screen compared."""
 
     eta: float
     config: PlanarConfiguration
     report: CCReport
-
-    @property
-    def r23(self) -> float:
-        """Base length of the isosceles triangle, 2 sqrt(k/2) sin(eta)."""
-        q = self.config.q
-        return float(np.hypot(*(q[2] - q[1])))
+    r23: float
 
 
 @dataclass(frozen=True)
@@ -85,39 +80,51 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
 
     Solves grad I = w2 grad U for the scalar w2 and reports the
     scale-insensitive residual |grad I - w2 grad U| / (1 + |grad I|).
-    Raises ValidationError on ``q`` when a gradient or its norm overflows
+    Raises ValidationError on ``q`` when a gradient, its norm or w2 overflows
     (the positions lie too far out for doubles), and DegenerateGradient when
-    w2 is undetermined: every body sits at one point, or grad U . grad U
-    underflows to 0. Every supported potential is homogeneous of nonzero
-    degree, so grad U vanishes only at a total collision and no absolute
-    floor is set on |grad U|; the test holds at any scale.
+    w2 is undetermined: every body sits at one point, or grad U is 0. Every
+    supported potential is homogeneous of nonzero degree, so grad U vanishes
+    only at a total collision and no absolute floor is set on |grad U|. w2 is
+    solved on grad I and grad U each scaled by its own power of two, so
+    grad U . grad U cannot underflow at large scales; the scales are undone
+    exactly, so in the normal range nothing rounds differently.
     """
     config, m = _bodies(config, m)
+    return _cc_residual(config.q, m.m, potential, tol)
+
+
+def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol: float) -> CCReport:
+    """``cc_residual`` of checked positions ``q`` and masses ``mass``."""
     # an overflow shows up in the norms; finite norms bound everything after them
     with np.errstate(over="ignore", invalid="ignore"):
-        gi = inertia_gradient(config, m).ravel()
+        gi = 2.0 * _mass_weighted_offsets(q, mass).ravel()
         ni = float(np.linalg.norm(gi))
     try:
         # raised, since an overflowing r^3 would round a pair force to 0, not to inf
         with np.errstate(over="raise", invalid="ignore"):
-            gu = potential_gradient(potential, config, m).ravel()
+            gu = _gradient_rows(potential, q, mass).ravel()
             nu = float(np.linalg.norm(gu))
     except FloatingPointError:
         nu = math.inf
+    overflow = "gradient overflow: |grad I| = {:.3e}, |grad U| = {:.3e}"
     if not math.isfinite(ni + nu):
-        raise ValidationError("q", f"gradient overflow: |grad I| = {ni:.3e}, |grad U| = {nu:.3e}")
+        raise ValidationError("q", overflow.format(ni, nu))
+    ei, eu = (math.frexp(float(np.abs(g).max()))[1] for g in (gi, gu))
+    gi, gu = np.ldexp(gi, -ei), np.ldexp(gu, -eu)
     gu_sq = float(gu @ gu)
-    if gu_sq == 0.0 or (config.q == config.q[0]).all():
+    if gu_sq == 0.0 or (q == q[0]).all():
         raise DegenerateGradient(f"|grad U| = {nu:.3e} is degenerate")
-    w2 = float(gi @ gu) / gu_sq
-    residual = float(np.linalg.norm(gi - w2 * gu)) / (1.0 + ni)
-    return CCReport(residual, w2, residual <= tol, float(tol))
+    w2 = float(gi @ gu) / gu_sq  # w2 * 2^(eu - ei)
+    residual = math.ldexp(float(np.linalg.norm(gi - w2 * gu)), ei) / (1.0 + ni)
+    if math.frexp(w2)[1] + ei - eu > 1024:  # w2 itself reaches 2^1024
+        raise ValidationError("q", overflow.format(ni, math.ldexp(float(np.linalg.norm(gu)), eu)))
+    return CCReport(residual, math.ldexp(w2, ei - eu), residual <= tol, float(tol))
 
 
 def _rescale_to_inertia(x: np.ndarray, m: MassVector, k: float) -> np.ndarray:
     """Recentre ``x`` on its center of mass and scale it onto I = k."""
     _, x = _cm_offsets(x, m.m)
-    inertia = moment_of_inertia(PlanarConfiguration(x), m)
+    inertia = _inertia(x, m.m)
     if inertia <= 0.0:
         raise DegenerateGradient("cannot rescale a total collision")
     return math.sqrt(k / inertia) * x
@@ -125,8 +132,8 @@ def _rescale_to_inertia(x: np.ndarray, m: MassVector, k: float) -> np.ndarray:
 
 def _lagrange_residual(x: np.ndarray, m: MassVector, potential: PotentialSpec):
     """grad I, the least-squares multiplier lam, and grad U - lam grad I at ``x``."""
-    gi = inertia_gradient(x, m)
-    gu = potential_gradient(potential, x, m)
+    gi = 2.0 * _mass_weighted_offsets(x, m.m)
+    gu = _gradient_rows(potential, x, m.m)
     lam = float((gu * gi).sum()) / float((gi * gi).sum())
     return gi, lam, gu - lam * gi
 
@@ -207,7 +214,7 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
     if not np.isfinite(k) or k <= 0.0:
         raise ValidationError("k", "must be positive")
     with np.errstate(over="ignore"):
-        inertia = moment_of_inertia(config0, m)
+        inertia = _inertia(config0.q, m.m)
     if not math.isfinite(inertia):
         raise ValidationError("q", f"inertia overflow: I = {inertia:.3e}")
     if inertia <= 0.0:
@@ -215,16 +222,16 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
 
     qcm, dq = _cm_offsets(config0.q, m.m)
     x = math.sqrt(k / inertia) * dq
-    current = PlanarConfiguration(qcm + x)
-    if not abs(moment_of_inertia(current, m) - k) <= _RESOLVED_INERTIA_RTOL * k:
+    if not abs(_inertia(qcm + x, m.m) - k) <= _RESOLVED_INERTIA_RTOL * k:
         raise ValidationError(
             "k", f"inertia {k!r} is lost in rounding at center of mass "
                  f"({qcm[0]:.3e}, {qcm[1]:.3e})")
     state = None
     for iteration in range(max_iter + 1):
-        report = cc_residual(current, m, potential, tol)
+        current = qcm + x
+        report = _cc_residual(current, m.m, potential, tol)
         if report.is_cc:
-            return current
+            return PlanarConfiguration(current)
         if iteration == max_iter:
             raise NoConvergence(f"no convergence after {max_iter} iterations",
                                 iteration, report.residual)
@@ -232,14 +239,13 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
             state = _lagrange_residual(x, m, potential)
         moved = _damped_newton(x, m, potential, k, state)
         if moved is None:
-            floor = cc_residual(PlanarConfiguration(x), m, potential, tol)
+            floor = _cc_residual(x, m.m, potential, tol)
             why = (f": the limit is the rounding floor at the center of mass ({qcm[0]:.3e}, "
                    f"{qcm[1]:.3e}), where the iterate's own residual is {floor.residual:.3e}"
                    if floor.is_cc else "")
             raise NoConvergence(f"line search stalled at residual {report.residual:.3e}{why}",
                                 iteration, report.residual)
         x, state = moved
-        current = PlanarConfiguration(qcm + x)
 
 
 def theorem1_family(k: float, eta: float) -> PlanarConfiguration:
@@ -286,15 +292,15 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     etas = [(math.pi / 2.0) * j / n_samples for j in range(1, n_samples + 1)]
     configs = [theorem1_family(k, eta) for eta in etas]
     _, offsets = _cm_offsets(np.stack([config.q for config in configs]), masses.m)
-    margin, unseparated = _unseparated_pairs(offsets, masses, _EQUIVALENCE_TOL * math.sqrt(k))
+    r23, margin, unseparated = _unseparated_pairs(offsets, masses, _EQUIVALENCE_TOL * math.sqrt(k))
     samples = []
     failures = []
-    for eta, config in zip(etas, configs):
-        report = cc_residual(config, masses, harmonic, tol)
-        samples.append(FamilySample(eta, config, report))
+    for eta, config, base in zip(etas, configs, r23.tolist()):
+        report = _cc_residual(config.q, masses.m, harmonic, tol)
+        samples.append(FamilySample(eta, config, report, base))
         if not report.is_cc:
             failures.append(f"eta={eta:.6f}: residual {report.residual:.3e} exceeds {tol:g}")
-        inertia = moment_of_inertia(config, masses)
+        inertia = _inertia(config.q, masses.m)
         if abs(inertia - k) > _INERTIA_REL_TOL * k:
             failures.append(f"eta={eta:.6f}: inertia {inertia!r} misses k={k!r}")
     for i, j in unseparated:
@@ -304,9 +310,10 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
 
 
 def _unseparated_pairs(offsets: np.ndarray, masses: MassVector, tol: float):
-    """The screen margin and the pairs (i, j), i < j, in (i, j) order, of
-    three-body configurations ``offsets`` (S, 3, 2) that are neighbours in
-    the order of r23 and whose r23 differ by at most that margin.
+    """The base lengths r23 (S,) of three-body configurations ``offsets``
+    (S, 3, 2), the screen margin, and the pairs (i, j), i < j, in (i, j)
+    order, that are neighbours in the order of r23 and whose r23 differ by
+    at most that margin.
 
     For any orthogonal Omega with misfits e_i = a_i - Omega b_i and residual
     rho, sum m_i |e_i|^2 = M rho^2, so |r_ij(a) - r_ij(b)| <= |e_i| + |e_j|
@@ -321,4 +328,4 @@ def _unseparated_pairs(offsets: np.ndarray, masses: MassVector, tol: float):
     order = np.argsort(r23)
     close = np.flatnonzero(np.diff(r23[order]) <= margin)
     i, j = np.sort(np.stack([order[close], order[close + 1]]), axis=0)
-    return margin, sorted(zip(i.tolist(), j.tolist()))
+    return r23, margin, sorted(zip(i.tolist(), j.tolist()))

@@ -49,7 +49,6 @@ from .core import (
     HARMONIC,
     MassVector,
     PhaseState,
-    PlanarConfiguration,
     PotentialSpec,
     _bodies,
     _pair_offsets,
@@ -90,14 +89,10 @@ class Scenario:
     """Validated simulation request parsed from a scenario file."""
 
     masses: MassVector
-    positions: PlanarConfiguration
-    velocities: np.ndarray
+    state: PhaseState
     potential: PotentialSpec
     integrator: IntegratorSpec | None
     tolerances: dict
-
-    def initial_state(self) -> PhaseState:
-        return PhaseState(self.positions, self.velocities, 0.0)
 
 
 @dataclass
@@ -238,7 +233,7 @@ def parse_scenario(text) -> Scenario:
         integrator = IntegratorSpec(*integrator_args) if integrator_args else None
     except ValidationError as exc:
         raise ValidationError(_document_field(exc.field), exc.reason) from None
-    return Scenario(masses, state.config, state.v, potential, integrator, tolerances)
+    return Scenario(masses, state, potential, integrator, tolerances)
 
 
 def load_scenario(path) -> Scenario:
@@ -268,8 +263,7 @@ def write_trajectory_csv(traj: Trajectory, sink) -> None:
 def _integrate(scenario: Scenario, verb: str) -> Trajectory:
     if scenario.integrator is None:
         raise ValidationError("integrator", f"required for {verb}")
-    return integrate(scenario.initial_state(), scenario.integrator,
-                     scenario.potential, scenario.masses)
+    return integrate(scenario.state, scenario.integrator, scenario.potential, scenario.masses)
 
 
 def _replace_on_success(path: str, write):
@@ -316,7 +310,7 @@ def cmd_simulate(scenario: Scenario, sink) -> RunReport:
 def cmd_cc_check(scenario: Scenario) -> RunReport:
     """Measure the central-configuration residual of the scenario positions."""
     tol = scenario.tolerances.get("cc", 1e-9)
-    rep = cc_residual(scenario.positions, scenario.masses, scenario.potential, tol)
+    rep = cc_residual(scenario.state.config, scenario.masses, scenario.potential, tol)
     report = RunReport("cc-check")
     report.measurements["residual"] = rep.residual
     report.measurements["omega_squared"] = rep.omega_squared
@@ -327,11 +321,9 @@ def cmd_cc_check(scenario: Scenario) -> RunReport:
 
 def cmd_cc_refine(scenario: Scenario, k: float) -> RunReport:
     """Refine the scenario positions to a central configuration on I = k."""
-    tol = scenario.tolerances.get("refine", 1e-10)
-    refined = refine_cc(scenario.positions, scenario.masses, scenario.potential,
-                        k, max_iter=200, tol=tol)
-    rep = cc_residual(refined, scenario.masses, scenario.potential,
-                      scenario.tolerances.get("cc", 1e-9))
+    refined = refine_cc(scenario.state.config, scenario.masses, scenario.potential, k,
+                        tol=scenario.tolerances.get("refine", 1e-10))
+    rep = cc_residual(refined, scenario.masses, scenario.potential)
     report = RunReport("cc-refine")
     report.measurements["k"] = float(k)
     report.measurements["residual"] = rep.residual
@@ -451,9 +443,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.verb == "simulate":
             scenario = load_scenario(args.file)
             report = _replace_on_success(args.out, lambda sink: cmd_simulate(scenario, sink))

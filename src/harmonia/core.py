@@ -112,10 +112,6 @@ class PhaseState:
         object.__setattr__(self, "v", _frozen(v))
         object.__setattr__(self, "t", float(self.t))
 
-    @property
-    def n(self) -> int:
-        return self.config.n
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -167,10 +163,6 @@ class MutualDistanceTable:
     """Symmetric pair-distance table r_ij = |q_i - q_j| with zero diagonal."""
 
     r: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.r.shape[0])
 
 
 def as_mass_vector(m) -> MassVector:
@@ -245,12 +237,6 @@ def _cm_offsets(q: np.ndarray, mass: np.ndarray):
 def _mass_weighted_offsets(q: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """m_i (q_i - q_cm), shared by the harmonic and inertia gradients."""
     return mass[:, None] * _cm_offsets(q, mass)[1]
-
-
-def center_of_mass(config, m) -> np.ndarray:
-    """Mass-weighted mean position, shape (2,)."""
-    config, m = _bodies(config, m)
-    return _cm_offsets(config.q, m.m)[0]
 
 
 def mutual_distances(config) -> MutualDistanceTable:

@@ -138,13 +138,6 @@ class Trajectory:
         return _frozen(kinetic + self.potential_energy)
 
 
-def accelerations(potential: PotentialSpec, config, m) -> np.ndarray:
-    """Per-body acceleration a_i = -(1/m_i) dU/dq_i, one row per body."""
-    config, m = _bodies(config, m)
-    grad = _gradient_rows(potential, config.q, m.m)
-    return -grad / m.m[:, None]
-
-
 def _acceleration_function(potential: PotentialSpec, m: MassVector):
     mass = m.m
     total = m.total

@@ -18,10 +18,12 @@ from harmonia import (
     ValidationError,
     cc_residual,
     family_masses,
+    inertia_gradient,
     is_relative_equilibrium,
     moment_of_inertia,
     mutual_distances,
     potential_energy,
+    potential_gradient,
     refine_cc,
     theorem1_family,
     verify_continuum,
@@ -67,10 +69,50 @@ def test_harmonic_everywhere_critical_corpus(draw_system):
 
 
 def test_newtonian_equilateral_is_central():
-    # |grad U| falls as 1/scale^2 while |grad I| grows as scale: no floor on |grad U|
-    for scale in (1.0, 1e5, 1e8):
+    # |grad U| falls as 1/scale^2 while |grad I| grows as scale: no floor on |grad U|;
+    # grad U . grad U underflows past a scale of about 1e77, and the scaled solve never forms it
+    for scale in (1.0, 1e5, 1e8, 1e60, 1e70, 1e80, 1e82, 1e90, 1e100):
         report = cc_residual(equilateral().q * scale, M3, NEWTONIAN)
-        assert report.residual <= 1e-12
+        assert report.residual <= 1e-15
+
+
+def test_omega_squared_beyond_the_double_range_is_a_gradient_overflow():
+    # at r ~ 1e62, grad U ~ r^-4 is a double (its square is not) but w2 ~ r^5 is not
+    with pytest.raises(ValidationError) as err:
+        cc_residual(equilateral().q * 1e62, M3, PotentialSpec.power(-3.0, 1.0))
+    assert err.value.field == "q"
+    assert err.value.reason == "gradient overflow: |grad I| = 2.000e+62, |grad U| = 9.000e-248"
+
+
+def unscaled_cc_residual(q, m, potential):
+    """The least-squares solve of cc_residual without its power-of-two scales: (residual, w2)."""
+    gi = inertia_gradient(q, m).ravel()
+    gu = potential_gradient(potential, q, m).ravel()
+    w2 = float(gi @ gu) / float(gu @ gu)
+    return float(np.linalg.norm(gi - w2 * gu)) / (1.0 + float(np.linalg.norm(gi))), w2
+
+
+grid = st.integers(-5000, 5000).map(lambda i: i / 1000.0)
+
+
+@st.composite
+def normal_range_systems(draw):
+    """n = 2..7 distinct points on a 1e-3 grid, scaled by 1e-3..1e6, with masses and a potential."""
+    n = draw(st.integers(2, 7))
+    points = draw(st.lists(st.tuples(grid, grid), min_size=n, max_size=n, unique=True))
+    q = 10.0 ** draw(st.integers(-3, 6)) * np.array(points)
+    masses = MassVector(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    potential = draw(st.sampled_from([HARMONIC, NEWTONIAN, PotentialSpec.power(-2.0, 1.0),
+                                      PotentialSpec.power(3.0, 0.5)]))
+    return q, masses, potential
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(system=normal_range_systems())
+def test_scaled_solve_is_bit_identical_in_the_normal_range(system):
+    q, masses, potential = system
+    report = cc_residual(q, masses, potential)
+    assert (report.residual, report.omega_squared) == unscaled_cc_residual(q, masses, potential)
 
 
 def test_total_collision_is_degenerate():
@@ -394,9 +436,9 @@ def joined(pairs, n):
 @given(offsets=triangle_sets())
 def test_unseparated_pairs_join_every_pair_the_all_pairs_fit_finds(offsets):
     # the screen is sound: a pair within tol lies in one run of reported rank-neighbours
-    margin, pairs = _unseparated_pairs(offsets, M3, 1e-9)
+    r23, margin, pairs = _unseparated_pairs(offsets, M3, 1e-9)
     assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
-    r23 = np.hypot(*(offsets[:, 2] - offsets[:, 1]).T)
+    assert r23 == pytest.approx(np.hypot(*(offsets[:, 2] - offsets[:, 1]).T), rel=1e-15, abs=0.0)
     assert all(abs(r23[i] - r23[j]) <= margin for i, j in pairs)
     label = joined(pairs, len(offsets))
     for i, j in all_pairs_equivalent(offsets, M3):
@@ -432,6 +474,24 @@ def test_verify_continuum_names_repeated_samples_as_the_all_pairs_fit_did(monkey
     assert list(report.failures) == [
         "samples eta=0.147262 and eta=1.227185 are not told apart: r23 within 2.450e-09",
         "samples eta=0.245437 and eta=0.981748 are not told apart: r23 within 2.450e-09"]
+
+
+def test_family_r23_is_the_value_the_screen_compared(monkeypatch):
+    compared = []
+    screen = central_config._unseparated_pairs
+
+    def spy(offsets, masses, tol):
+        result = screen(offsets, masses, tol)
+        compared.append(result[0])
+        return result
+
+    monkeypatch.setattr(central_config, "_unseparated_pairs", spy)
+    report = verify_continuum(1.0, 64)
+    (r23,) = compared
+    assert [s.r23 for s in report.samples] == r23.tolist()
+    assert all(type(s.r23) is float for s in report.samples)
+    assert [s.r23 for s in report.samples] == pytest.approx(
+        [2.0 * math.sqrt(0.5) * math.sin(s.eta) for s in report.samples], rel=1e-15)
 
 
 def test_verify_continuum_at_small_k_tells_every_sample_apart():

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from harmonia import ParseError, ValidationError
+from harmonia import ParseError, ValidationError, cli
 from harmonia.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -48,7 +48,7 @@ def scenario_text(doc):
 
 def test_parse_minimal_document():
     scenario = parse_scenario(scenario_text(MINIMAL))
-    assert np.all(scenario.velocities == 0.0)
+    assert np.all(scenario.state.v == 0.0)
     assert scenario.potential.kind == "harmonic"
     assert scenario.integrator is None
     assert scenario.tolerances == {}
@@ -369,6 +369,16 @@ def test_usage_errors_exit_1(capsys, argv):
     out = capsys.readouterr().out
     assert out.startswith("error: harmonia")
     assert len(out.splitlines()) == 1
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("main rebuilt the argument parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    assert main(["reproduce", "theorem1"]) == EXIT_OK
+    assert main(["reproduce", "theorem1"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("command: reproduce theorem1\n")
 
 
 def test_help_exits_0(capsys):

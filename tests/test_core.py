@@ -14,9 +14,7 @@ from harmonia import (
     PlanarConfiguration,
     PotentialSpec,
     ValidationError,
-    accelerations,
     cc_residual,
-    center_of_mass,
     harmonic_flow,
     inertia_gradient,
     integrate,
@@ -29,7 +27,13 @@ from harmonia import (
     rotation,
     total_energy,
 )
-from harmonia.core import _centering_hessian, _hessian_rows, _pair_offsets, _pair_separations
+from harmonia.core import (
+    _centering_hessian,
+    _cm_offsets,
+    _hessian_rows,
+    _pair_offsets,
+    _pair_separations,
+)
 from conftest import central_difference_gradient
 
 TRIANGLE = PlanarConfiguration([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
@@ -123,9 +127,9 @@ def test_moment_of_inertia_cartesian_values():
 
 
 def test_center_of_mass():
-    assert center_of_mass(TRIANGLE, M3) == pytest.approx([0.0, 1.0 / 3.0], abs=1e-15)
-    assert center_of_mass(RHOMBUS, M4) == pytest.approx([0.0, 0.0], abs=1e-15)
-    assert center_of_mass([[-1.0, 0.0], [1.0, 0.0]], MassVector([1.0, 1.0])) \
+    assert _cm_offsets(TRIANGLE.q, M3.m)[0] == pytest.approx([0.0, 1.0 / 3.0], abs=1e-15)
+    assert _cm_offsets(RHOMBUS.q, M4.m)[0] == pytest.approx([0.0, 0.0], abs=1e-15)
+    assert _cm_offsets(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.ones(2))[0] \
         == pytest.approx([0.0, 0.0], abs=1e-15)
 
 
@@ -134,7 +138,7 @@ def test_parallel_axis_identity_on_corpus(draw_system):
         config, masses = draw_system()
         i_mutual = moment_of_inertia(config, masses)
         i_cart = cartesian_inertia(config, masses)
-        qcm = center_of_mass(config, masses)
+        qcm = _cm_offsets(config.q, masses.m)[0]
         shift = masses.total * float(qcm @ qcm)
         assert i_cart == pytest.approx(i_mutual + shift, rel=1e-12, abs=1e-12)
         centered = PlanarConfiguration(config.q - qcm)
@@ -395,16 +399,15 @@ def _state(config):
 
 
 GATED_OPERATIONS = {
-    "center_of_mass": lambda q, m: center_of_mass(q, m),
     "moment_of_inertia": lambda q, m: moment_of_inertia(q, m),
     "potential_energy": lambda q, m: potential_energy(NEWTONIAN, q, m),
     "potential_gradient": lambda q, m: potential_gradient(HARMONIC, q, m),
     "inertia_gradient": lambda q, m: inertia_gradient(q, m),
     "total_energy": lambda q, m: total_energy(HARMONIC, _state(q), m),
-    # without the gate these two surfaced as numpy ValueError / IndexError
-    "accelerations-harmonic": lambda q, m: accelerations(HARMONIC, q, m),
-    "accelerations-newtonian": lambda q, m: accelerations(NEWTONIAN, q, m),
     "integrate": lambda q, m: integrate(_state(q), IntegratorSpec("rk4", 0.1, 0.1), HARMONIC, m),
+    # the integrator's pair-kernel force path
+    "integrate-newtonian":
+        lambda q, m: integrate(_state(q), IntegratorSpec("rk4", 0.1, 0.1), NEWTONIAN, m),
     "harmonic_flow": lambda q, m: harmonic_flow(_state(q), m, [0.0, 1.0]),
     "rotating_re_trajectory": lambda q, m: rotating_re_trajectory(q, m, [0.0, 1.0]),
     "cc_residual": lambda q, m: cc_residual(q, m, HARMONIC),

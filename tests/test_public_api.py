@@ -11,8 +11,8 @@ PUBLIC_NAMES = [
     "NEWTONIAN", "NoConvergence", "NonFiniteState", "POWER", "ParseError", "PhaseState",
     "PlanarConfiguration", "PotentialSpec", "RELATIVE_EQUILIBRIUM", "RK4",
     "RigidityResult", "SaariReport", "Trajectory", "VARYING_INERTIA", "VELOCITY_VERLET",
-    "ValidationError", "ZeroInertia", "accelerations", "as_configuration", "as_mass_vector",
-    "build_theorem2_state", "cc_residual", "center_of_mass", "corpus_seed", "energy_drift",
+    "ValidationError", "ZeroInertia", "as_configuration", "as_mass_vector",
+    "build_theorem2_state", "cc_residual", "corpus_seed", "energy_drift",
     "family_masses", "harmonic_flow", "inertia_gradient", "inertia_variation", "integrate",
     "is_relative_equilibrium", "moment_of_inertia", "mutual_distances", "potential_energy",
     "potential_gradient", "random_configuration", "random_masses", "refine_cc",
