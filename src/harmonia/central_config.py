@@ -12,12 +12,14 @@ kernel in ``core``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    HARMONIC,
     MassVector,
     PlanarConfiguration,
     PotentialSpec,
@@ -37,7 +39,7 @@ _INERTIA_REL_TOL = 1e-12
 _RESOLVED_INERTIA_RTOL = 1e-8
 
 # verify_continuum's time grows about linearly with the sample count: 16384 samples
-# take ~2 s on a 2-vCPU Xeon
+# take ~0.5 s on a 2-vCPU Xeon, mostly in building each sample's configuration
 MAX_FAMILY_SAMPLES = 16384
 # a rotation that fits two samples to this rigidity residual, times sqrt(k), makes them one shape
 _EQUIVALENCE_TOL = 1e-9
@@ -93,32 +95,61 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
     return _cc_residual(config.q, m.m, potential, tol)
 
 
-def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol: float) -> CCReport:
-    """``cc_residual`` of checked positions ``q`` and masses ``mass``."""
+def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol: float):
+    """``cc_residual`` of checked positions ``q`` and masses ``mass``.
+
+    ``q`` is one (n, 2) configuration, which gives a CCReport, or an
+    (S, n, 2) stack, which gives a list of S CCReports. A stack needs a
+    gradient kernel that takes stacks, which the harmonic one does. Each
+    row equals its one-configuration call bit for bit: the norms and dot
+    products are ``np.vecdot`` rows, the 1-D dot, and the power-of-two
+    scales are taken per row. A stack raises the error of its first
+    failing row, as one call per row in row order would.
+    """
+    rows = q if q.ndim == 3 else q[None]
+    size, n2 = len(rows), 2 * q.shape[-2]
+    g = np.empty((size, 2, n2))  # grad I and grad U of each row, flattened
     # an overflow shows up in the norms; finite norms bound everything after them
-    with np.errstate(over="ignore", invalid="ignore"):
-        gi = 2.0 * _mass_weighted_offsets(q, mass).ravel()
-        ni = float(np.linalg.norm(gi))
-    try:
-        # raised, since an overflowing r^3 would round a pair force to 0, not to inf
-        with np.errstate(over="raise", invalid="ignore"):
-            gu = _gradient_rows(potential, q, mass).ravel()
-            nu = float(np.linalg.norm(gu))
-    except FloatingPointError:
-        nu = math.inf
-    overflow = "gradient overflow: |grad I| = {:.3e}, |grad U| = {:.3e}"
-    if not math.isfinite(ni + nu):
-        raise ValidationError("q", overflow.format(ni, nu))
-    ei, eu = (math.frexp(float(np.abs(g).max()))[1] for g in (gi, gu))
-    gi, gu = np.ldexp(gi, -ei), np.ldexp(gu, -eu)
-    gu_sq = float(gu @ gu)
-    if gu_sq == 0.0 or (q == q[0]).all():
-        raise DegenerateGradient(f"|grad U| = {nu:.3e} is degenerate")
-    w2 = float(gi @ gu) / gu_sq  # w2 * 2^(eu - ei)
-    residual = math.ldexp(float(np.linalg.norm(gi - w2 * gu)), ei) / (1.0 + ni)
-    if math.frexp(w2)[1] + ei - eu > 1024:  # w2 itself reaches 2^1024
-        raise ValidationError("q", overflow.format(ni, math.ldexp(float(np.linalg.norm(gu)), eu)))
-    return CCReport(residual, math.ldexp(w2, ei - eu), residual <= tol, float(tol))
+    with np.errstate(all="ignore"):
+        np.multiply(2.0, _mass_weighted_offsets(q, mass).reshape(size, n2), out=g[:, 0])
+        try:
+            # raised, since an overflowing r^3 would round a pair force to 0, not to inf;
+            # the harmonic gradient divides by nothing, so its overflows stay inf or NaN
+            with np.errstate(over="ignore" if potential.kind == HARMONIC else "raise"):
+                g[:, 1] = _gradient_rows(potential, q, mass).reshape(size, n2)
+        except FloatingPointError:
+            g[:, 1] = math.inf
+        norms = np.sqrt(np.vecdot(g, g))
+        e = np.frexp(np.abs(g).max(axis=-1))[1]
+        g = np.ldexp(g, -e[..., None])
+        gi, gu = g[:, 0], g[:, 1]
+        gu_sq = np.vecdot(gu, gu)
+        w2 = np.vecdot(gi, gu) / gu_sq  # w2 * 2^(eu - ei)
+        d = gi - w2[:, None] * gu
+        misfit = np.ldexp(np.sqrt(np.vecdot(d, d)), e[:, 0])  # |grad I - w2 grad U|
+        # not finite exactly when w2 is undetermined or itself reaches 2^1024
+        omega_squared = np.ldexp(w2, e[:, 0] - e[:, 1])
+    # only the harmonic grad U can round to a nonzero vector at a total collision:
+    # singular kinds raise there, and power laws give grad U = 0 exactly
+    collided = (rows == rows[:, :1]).reshape(size, -1).all(axis=-1).tolist() \
+        if potential.kind == HARMONIC else itertools.repeat(False)
+    tol = float(tol)
+    reports = []
+    # the rows' scalars as floats: the checks and the last division cost no array call
+    for s, ((ni, nu), r, w, total_collision) in enumerate(zip(
+            norms.tolist(), misfit.tolist(), omega_squared.tolist(), collided)):
+        if not (math.isfinite(ni + nu) and math.isfinite(w)) or total_collision:
+            overflow = "gradient overflow: |grad I| = {:.3e}, |grad U| = {:.3e}"
+            if not math.isfinite(ni + nu):
+                nu = nu if math.isfinite(nu) else math.inf  # NaN when grad U overflowed
+                raise ValidationError("q", overflow.format(ni, nu))
+            if gu_sq[s] == 0.0 or (rows[s] == rows[s, 0]).all():
+                raise DegenerateGradient(f"|grad U| = {nu:.3e} is degenerate")
+            nu = math.ldexp(math.sqrt(gu_sq[s]), int(e[s, 1]))
+            raise ValidationError("q", overflow.format(ni, nu))
+        residual = r / (1.0 + ni)
+        reports.append(CCReport(residual, w, residual <= tol, tol))
+    return reports if q.ndim == 3 else reports[0]
 
 
 def _rescale_to_inertia(x: np.ndarray, m: MassVector, k: float) -> np.ndarray:
@@ -288,19 +319,19 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     n_samples = int(n_samples)
 
     masses = family_masses()
-    harmonic = PotentialSpec.harmonic()
     etas = [(math.pi / 2.0) * j / n_samples for j in range(1, n_samples + 1)]
     configs = [theorem1_family(k, eta) for eta in etas]
-    _, offsets = _cm_offsets(np.stack([config.q for config in configs]), masses.m)
+    stack = np.stack([config.q for config in configs])
+    _, offsets = _cm_offsets(stack, masses.m)
     r23, margin, unseparated = _unseparated_pairs(offsets, masses, _EQUIVALENCE_TOL * math.sqrt(k))
+    reports = _cc_residual(stack, masses.m, PotentialSpec.harmonic(), tol)
     samples = []
     failures = []
-    for eta, config, base in zip(etas, configs, r23.tolist()):
-        report = _cc_residual(config.q, masses.m, harmonic, tol)
+    for eta, config, report, base, inertia in zip(
+            etas, configs, reports, r23.tolist(), _inertia(stack, masses.m).tolist()):
         samples.append(FamilySample(eta, config, report, base))
         if not report.is_cc:
             failures.append(f"eta={eta:.6f}: residual {report.residual:.3e} exceeds {tol:g}")
-        inertia = _inertia(config.q, masses.m)
         if abs(inertia - k) > _INERTIA_REL_TOL * k:
             failures.append(f"eta={eta:.6f}: inertia {inertia!r} misses k={k!r}")
     for i, j in unseparated:

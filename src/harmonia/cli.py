@@ -19,7 +19,7 @@ checked by the domain types it builds (MassVector, PhaseState,
 PotentialSpec, IntegratorSpec), and their errors name the field as the
 document does ("masses[0]", "integrator.stride"). A run may take at most
 dynamics.MAX_STEPS = 10^7 steps (t_end / dt) and retain at most
-dynamics.MAX_SAMPLES = 10^6 samples; ``family`` takes at most
+dynamics.MAX_SAMPLES = 10^6 samples times bodies; ``family`` takes at most
 central_config.MAX_FAMILY_SAMPLES = 16384 samples; two samples whose
 base lengths lie within the screen margin of a 1e-9 sqrt(k) rotation
 tolerance fail the certificate.
@@ -263,7 +263,10 @@ def write_trajectory_csv(traj: Trajectory, sink) -> None:
 def _integrate(scenario: Scenario, verb: str) -> Trajectory:
     if scenario.integrator is None:
         raise ValidationError("integrator", f"required for {verb}")
-    return integrate(scenario.state, scenario.integrator, scenario.potential, scenario.masses)
+    try:
+        return integrate(scenario.state, scenario.integrator, scenario.potential, scenario.masses)
+    except ValidationError as exc:  # the sample budget, which counts the bodies too
+        raise ValidationError(_document_field(exc.field), exc.reason) from None
 
 
 def _replace_on_success(path: str, write):

@@ -184,11 +184,11 @@ def _bodies(config, m) -> tuple[PlanarConfiguration, MassVector]:
 
 
 def _distance_matrix(q: np.ndarray) -> np.ndarray:
-    """Dense n x n table of pair distances |q_i - q_j|."""
-    x = q[:, 0]
-    y = q[:, 1]
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
+    """Dense n x n table of pair distances |q_i - q_j|, (..., n, n) for ``q`` (..., n, 2)."""
+    x = q[..., 0]
+    y = q[..., 1]
+    dx = x[..., None] - x[..., None, :]
+    dy = y[..., None] - y[..., None, :]
     return np.sqrt(dx * dx + dy * dy)
 
 
@@ -213,17 +213,24 @@ def _pair_offsets(q: np.ndarray):
 
 
 def _pair_separations(potential: PotentialSpec, q: np.ndarray):
-    """``_pair_offsets`` of one configuration, checked for collisions.
+    """``_pair_offsets`` of one configuration or a stack, checked for collisions.
 
-    Raises CollisionSingularity, naming the first closest pair in row-major
-    order, when a singular potential sees a separation below COLLISION_EPS.
+    Raises CollisionSingularity when a singular potential sees a separation
+    below COLLISION_EPS. It names the first such configuration of a stack
+    and, in it, the first closest pair in row-major order, as a call per
+    configuration in stack order would.
     """
     i, j, dx, dy, r = _pair_offsets(q)
-    if potential.singular:
-        k = int(r.argmin())
-        if r[k] < COLLISION_EPS:
+    # argmin finds the closest pair of all, or the first NaN; a NaN hides the pairs
+    # of its own configuration only, as in a call per configuration
+    if potential.singular and not r.item(r.argmin()) >= COLLISION_EPS:
+        rows = r.reshape(-1, r.shape[-1])
+        hit = np.flatnonzero(rows.min(axis=-1) < COLLISION_EPS)
+        if hit.size:
+            row = rows[hit[0]]
+            k = int(row.argmin())
             raise CollisionSingularity(
-                f"bodies {i[k] + 1} and {j[k] + 1} separated by {float(r[k]):.3e}")
+                f"bodies {i[k] + 1} and {j[k] + 1} separated by {float(row[k]):.3e}")
     return i, j, dx, dy, r
 
 
@@ -262,10 +269,20 @@ def moment_of_inertia(config, m) -> float:
     return _inertia(config.q, m.m)
 
 
-def _inertia(q: np.ndarray, mass: np.ndarray) -> float:
+def _per_configuration(values: np.ndarray, q: np.ndarray):
+    """A float for one (n, 2) configuration ``q``, the (...) array of a stack's rows."""
+    return float(values) if q.ndim == 2 else values
+
+
+# The sums below reduce the trailing, contiguous axes of each configuration's
+# terms, which numpy sums exactly as it sums those terms of one configuration
+# alone, so a stacked row rounds as its one-configuration call does.
+
+def _inertia(q: np.ndarray, mass: np.ndarray):
+    """I of one configuration (a float) or of each row of an (..., n, 2) stack."""
     r = _distance_matrix(q)
     w = mass[:, None] * mass[None, :]
-    return float((w * r * r).sum() / (2.0 * float(mass.sum())))
+    return _per_configuration((w * r * r).sum(axis=(-2, -1)) / (2.0 * float(mass.sum())), q)
 
 
 def potential_energy(potential: PotentialSpec, config, m) -> float:
@@ -274,15 +291,16 @@ def potential_energy(potential: PotentialSpec, config, m) -> float:
     return _potential(potential, config.q, m.m)
 
 
-def _potential(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> float:
+def _potential(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray):
+    """U of one configuration (a float) or of each row of an (..., n, 2) stack."""
     if potential.kind == HARMONIC:
         return 0.5 * float(mass.sum()) * _inertia(q, mass)
     i, j, _, _, r = _pair_separations(potential, q)
     w = mass[i] * mass[j]
     if potential.kind == NEWTONIAN:
-        return -float((w / r).sum())
+        return _per_configuration(-(w / r).sum(axis=-1), q)
     # r ** alpha is 0 at a coincident pair when alpha > 0
-    return potential.coupling * float((w * r ** potential.exponent).sum())
+    return potential.coupling * _per_configuration((w * r ** potential.exponent).sum(axis=-1), q)
 
 
 def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -301,8 +319,8 @@ def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) ->
     fx = coef * dx
     fy = coef * dy
     grad = np.empty((n, 2))
-    grad[:, 0] = np.bincount(i, fx, n) - np.bincount(j, fx, n)
-    grad[:, 1] = np.bincount(i, fy, n) - np.bincount(j, fy, n)
+    np.subtract(np.bincount(i, fx, n), np.bincount(j, fx, n), out=grad[:, 0])
+    np.subtract(np.bincount(i, fy, n), np.bincount(j, fy, n), out=grad[:, 1])
     return grad
 
 

@@ -37,9 +37,13 @@ RK4 = "rk4"
 INTEGRATION_METHODS = (VELOCITY_VERLET, RK4)
 
 # Budgets of one run: 100x the longest run in use (1e5 steps), and the
-# number of retained samples.
+# retained samples times bodies, which bounds q and v to 32 MB.
 MAX_STEPS = 10 ** 7
 MAX_SAMPLES = 10 ** 6
+# The invariant series are computed on chunks of samples whose n x n tables
+# hold at most this many elements (32 kB of doubles), so a chunk's temporaries
+# stay within what one sample of n = 64 takes: one sample a chunk from n = 46 up.
+_CHUNK_ELEMENTS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,9 @@ class IntegratorSpec:
 
     The run covers ``n_steps`` = round(t_end / dt) steps, at most
     MAX_STEPS. Samples are retained every ``sample_stride`` steps; the
-    initial and final states are always kept, at most MAX_SAMPLES in all.
+    initial and final states are always kept. ``integrate`` refuses a run
+    whose samples times bodies exceed MAX_SAMPLES; a spec that retains
+    more than MAX_SAMPLES samples is refused here, whatever the bodies.
     """
 
     method: str
@@ -79,15 +85,43 @@ class IntegratorSpec:
         return max(1, int(round(self.t_end / self.dt)))
 
 
+def _check_sample_budget(samples: int, n: int, field: str) -> None:
+    """Refuse, before any array is allocated, a run retaining over MAX_SAMPLES samples x bodies."""
+    if samples * n > MAX_SAMPLES:
+        raise ValidationError(field, f"run would retain {samples} samples of {n} bodies, "
+                                     f"over {MAX_SAMPLES} samples x bodies")
+
+
+def _owned(values) -> np.ndarray:
+    """``values`` itself when it is a read-only float64 array, else a float copy."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 \
+            and not values.flags.writeable:
+        return values
+    return np.array(values, dtype=float)
+
+
+def _chunked(kernel, q: np.ndarray) -> np.ndarray:
+    """``kernel`` of each (S, n, 2) chunk of ``q``, at most _CHUNK_ELEMENTS n x n elements
+    a chunk, concatenated: the (S,) series, each row as the one-sample call gives it."""
+    size = max(1, _CHUNK_ELEMENTS // q.shape[1] ** 2)
+    return np.concatenate([kernel(q[s:s + size]) for s in range(0, len(q), size)])
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-ordered phase-space samples of one solution, held as arrays.
 
     ``times`` has shape (S,), positions ``q`` and velocities ``v`` have
     shape (S, n, 2). All are checked once, here: matching shapes, finite
-    values and strictly increasing times. The invariant series ``inertia``,
-    ``potential_energy`` and ``energy`` are computed on first use and then
-    shared by every consumer of the trajectory.
+    values and strictly increasing times. They are kept read-only: an
+    array that already is read-only float64 (as ``integrate`` and
+    ``harmonic_flow`` build them) is held as it is, anything else is
+    copied. The invariant series ``inertia``, ``potential_energy`` and
+    ``energy`` are computed on first use and then shared by every consumer
+    of the trajectory. ``inertia`` and ``potential_energy`` run core's
+    stacked kernels on chunks of samples whose n x n tables hold at most
+    2^12 elements (one sample a chunk from n = 46 up), and each value
+    equals the one-configuration call's bit for bit.
     """
 
     times: np.ndarray
@@ -98,9 +132,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         m = as_mass_vector(self.m)
-        times = np.array(self.times, dtype=float)
-        q = np.array(self.q, dtype=float)
-        v = np.array(self.v, dtype=float)
+        times, q, v = _owned(self.times), _owned(self.q), _owned(self.v)
         if times.ndim != 1 or times.size == 0:
             raise ValidationError("times", "trajectory must be a nonempty sequence of times")
         for name, values in (("q", q), ("v", v)):
@@ -121,7 +153,7 @@ class Trajectory:
     @cached_property
     def inertia(self) -> np.ndarray:
         """Canonical moment of inertia at every sample, shape (S,)."""
-        return _frozen(np.array([_inertia(q, self.m.m) for q in self.q]))
+        return _frozen(_chunked(lambda q: _inertia(q, self.m.m), self.q))
 
     @cached_property
     def potential_energy(self) -> np.ndarray:
@@ -129,7 +161,7 @@ class Trajectory:
         if self.potential.kind == HARMONIC:
             # U = (M/2) I, from the inertia series rather than a second pass
             return _frozen(0.5 * self.m.total * self.inertia)
-        return _frozen(np.array([_potential(self.potential, q, self.m.m) for q in self.q]))
+        return _frozen(_chunked(lambda q: _potential(self.potential, q, self.m.m), self.q))
 
     @cached_property
     def energy(self) -> np.ndarray:
@@ -211,8 +243,10 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
     dt = integrator.dt
     n_steps = integrator.n_steps
     stride = integrator.sample_stride
+    samples = -(-n_steps // stride) + 1
+    _check_sample_budget(samples, m.n, "sample_stride")
     # the retained steps: every stride-th, and the last
-    steps = np.minimum(stride * np.arange(-(-n_steps // stride) + 1), n_steps)
+    steps = np.minimum(stride * np.arange(samples), n_steps)
     times = state0.t + steps * dt
 
     q = np.array(state0.config.q)
@@ -232,7 +266,7 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
                 raise NonFiniteState(f"non-finite state at step {steps[s]} (t={times[s]:g})")
             qs[s], vs[s] = q, v
 
-    return Trajectory(times, qs, vs, potential, m)
+    return Trajectory(_frozen(times), _frozen(qs), _frozen(vs), potential, m)
 
 
 def energy_drift(traj: Trajectory) -> float:
@@ -252,11 +286,13 @@ def harmonic_flow(state0: PhaseState, m, times) -> Trajectory:
         v_i(tau) = v_cm - w dq_i sin(w tau) + dv_i cos(w tau)
 
     where dq_i and dv_i are body i's initial offsets from the center of mass.
+    At most MAX_SAMPLES samples times bodies are kept.
     """
     if not isinstance(state0, PhaseState):
         raise ValidationError("state0", "expected a PhaseState")
     _, m = _bodies(state0.config, m)
     times = np.array(times, dtype=float, ndmin=1)
+    _check_sample_budget(times.size, m.n, "times")
     omega = math.sqrt(m.total)
     q_cm, dq = _cm_offsets(state0.config.q, m.m)
     v_cm, dv = _cm_offsets(state0.v, m.m)
@@ -265,7 +301,7 @@ def harmonic_flow(state0: PhaseState, m, times) -> Trajectory:
     s = np.sin(omega * tau)
     q = q_cm + v_cm * tau + dq * c + dv * s / omega
     v = v_cm - omega * dq * s + dv * c
-    return Trajectory(times, q, v, PotentialSpec.harmonic(), m)
+    return Trajectory(_frozen(times), _frozen(q), _frozen(v), PotentialSpec.harmonic(), m)
 
 
 def rhombus_masses() -> MassVector:

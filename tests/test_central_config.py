@@ -29,7 +29,7 @@ from harmonia import (
     verify_continuum,
 )
 from harmonia import central_config
-from harmonia.central_config import MAX_FAMILY_SAMPLES, _unseparated_pairs
+from harmonia.central_config import MAX_FAMILY_SAMPLES, _cc_residual, _unseparated_pairs
 from harmonia.core import _cm_offsets, rotation
 from harmonia.saari import _best_rotation
 from conftest import equilateral
@@ -113,6 +113,53 @@ def test_scaled_solve_is_bit_identical_in_the_normal_range(system):
     q, masses, potential = system
     report = cc_residual(q, masses, potential)
     assert (report.residual, report.omega_squared) == unscaled_cc_residual(q, masses, potential)
+
+
+@st.composite
+def harmonic_stacks(draw):
+    """2..64 configurations of n = 2..7 bodies on [-1, 1]^2 scaled by sqrt(k),
+    k = 1e-29..1e300, with masses."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = math.sqrt(10.0 ** draw(st.integers(-29, 300)))
+    stack = scale * rng.uniform(-1.0, 1.0, (draw(st.integers(2, 64)), n, 2))
+    return stack, rng.uniform(0.1, 10.0, n)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(system=harmonic_stacks())
+def test_stacked_harmonic_residual_rows_equal_the_one_configuration_call(system):
+    stack, mass = system
+    assert _cc_residual(stack, mass, HARMONIC, 1e-12) \
+        == [_cc_residual(q, mass, HARMONIC, 1e-12) for q in stack]
+
+
+@pytest.mark.parametrize("k", [1e-29, 1.0, 1e300])
+def test_family_reports_equal_the_one_configuration_residual(k):
+    report = verify_continuum(k, 300)
+    assert report.verdict
+    assert [s.report for s in report.samples] \
+        == [cc_residual(s.config, M3, HARMONIC, 1e-12) for s in report.samples]
+
+
+def raised(call):
+    """The type and message of the error ``call()`` raises."""
+    try:
+        call()
+    except (DegenerateGradient, ValidationError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("nothing raised")
+
+
+def test_stacked_residual_raises_the_first_failing_rows_error():
+    good = theorem1_family(1.0, 0.5).q
+    coincident = np.full((3, 2), 0.1)
+    overflowing = equilateral().q * 1e160
+    for rows in ([good, coincident, overflowing], [good, overflowing, coincident]):
+        stack = np.stack(rows)
+        per_row = raised(lambda: [_cc_residual(q, M3.m, HARMONIC, 1e-9) for q in stack])
+        assert raised(lambda: _cc_residual(stack, M3.m, HARMONIC, 1e-9)) == per_row
+        assert per_row[0] is (DegenerateGradient if rows[1] is coincident else ValidationError)
 
 
 def test_total_collision_is_degenerate():

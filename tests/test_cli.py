@@ -219,13 +219,14 @@ def test_simulate_evaluates_inertia_once_per_sample(monkeypatch):
     calls = []
 
     def counting(q, mass):
-        calls.append(1)
+        calls.append(len(q) if q.ndim == 3 else 1)  # the samples of a stacked call
         return original(q, mass)
 
     for module in (core, dynamics):
         monkeypatch.setattr(module, "_inertia", counting)
     report = cmd_simulate(parse_scenario(scenario_text(THEOREM2)), io.StringIO())
-    assert len(calls) == report.measurements["samples"] == 630
+    assert sum(calls) == report.measurements["samples"] == 630
+    assert len(calls) == math.ceil(630 / (dynamics._CHUNK_ELEMENTS // 4 ** 2))
 
 
 def test_simulate_deterministic(tmp_path, capsys):
@@ -352,6 +353,22 @@ def test_bad_integrators_are_contract_errors(tmp_path, capsys, integrator, expec
     assert len(captured.out.splitlines()) == 1
     assert "Traceback" not in captured.out + captured.err
     assert elapsed < 5.0  # rejected before any step is taken
+
+
+@pytest.mark.parametrize("verb", ["simulate", "saari"])
+def test_sample_budget_counts_bodies_through_the_cli(tmp_path, capsys, verb):
+    # 4001 samples are within the budget alone, but not for 300 bodies
+    path = tmp_path / "scenario.json"
+    out = tmp_path / "out.csv"
+    path.write_text(scenario_text({
+        "masses": [1.0] * 300, "positions": [[float(i), 0.0] for i in range(300)],
+        "integrator": {"method": "verlet", "dt": 1e-3, "t_end": 4.0, "stride": 1}}))
+    code = main([verb, str(path)] + (["--out", str(out)] if verb == "simulate" else []))
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ("error: integrator.stride: run would retain 4001 samples of 300 "
+                            "bodies, over 1000000 samples x bodies\n")
+    assert not out.exists()
 
 
 def test_error_line_escapes_line_breaks(tmp_path, capsys):

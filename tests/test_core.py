@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonia import (
     CollisionSingularity,
@@ -31,8 +33,10 @@ from harmonia.core import (
     _centering_hessian,
     _cm_offsets,
     _hessian_rows,
+    _inertia,
     _pair_offsets,
     _pair_separations,
+    _potential,
 )
 from conftest import central_difference_gradient
 
@@ -390,6 +394,57 @@ def test_pair_offsets_of_a_stack_match_each_sample(rng, n):
         for single in (_pair_separations(NEWTONIAN, q), written_out_pair_offsets(q)):
             for got, expected in zip((i, j, dx[s], dy[s], r[s]), single):
                 assert np.array_equal(got, expected)
+
+
+# -- the invariant kernels over a stack of configurations -------------------------
+
+PAIR_POTENTIALS = (NEWTONIAN, PotentialSpec.power(-2.0, 1.0), PotentialSpec.power(1.5, 0.5))
+
+
+@st.composite
+def scaled_stacks(draw):
+    """1..9 configurations of n = 2..40 bodies on [-1, 1]^2 scaled by 1e-5..1e5, with masses."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-5, 5))
+    stack = scale * rng.uniform(-1.0, 1.0, (draw(st.integers(1, 9)), n, 2))
+    return stack, rng.uniform(0.1, 10.0, n)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(system=scaled_stacks())
+def test_stacked_invariant_rows_equal_the_one_configuration_calls(system):
+    stack, mass = system
+    assert _inertia(stack, mass).tolist() == [_inertia(q, mass) for q in stack]
+    for potential in PAIR_POTENTIALS:
+        assert _potential(potential, stack, mass).tolist() \
+            == [_potential(potential, q, mass) for q in stack]
+
+
+@pytest.mark.parametrize("n", [91, 100, 300])
+def test_stacked_invariant_rows_equal_the_one_configuration_calls_at_large_n(rng, n):
+    # rows of n * n >= 8192 terms, past numpy's summation block
+    stack = rng.uniform(-1.0, 1.0, (3, n, 2))
+    mass = rng.uniform(0.1, 10.0, n)
+    assert _inertia(stack, mass).tolist() == [_inertia(q, mass) for q in stack]
+    for potential in PAIR_POTENTIALS:
+        assert _potential(potential, stack, mass).tolist() \
+            == [_potential(potential, q, mass) for q in stack]
+
+
+def test_collision_in_a_stacked_potential_names_the_per_sample_loops_pair(rng):
+    stack = rng.uniform(-1.0, 1.0, (6, 4, 2))
+    stack[3, 3] = stack[3, 1] + [5e-13, 0.0]  # sample 4: bodies 2 and 4 nearly meet
+    stack[4, 1] = stack[4, 0]                 # sample 5: bodies 1 and 2 meet, closer and earlier
+    mass = np.ones(4)
+    for potential in PAIR_POTENTIALS[:2]:
+        with pytest.raises(CollisionSingularity) as per_sample:
+            for q in stack:
+                _potential(potential, q, mass)
+        with pytest.raises(CollisionSingularity) as stacked:
+            _potential(potential, stack, mass)
+        assert str(stacked.value) == str(per_sample.value) \
+            == "bodies 2 and 4 separated by 5.000e-13"
 
 
 # -- one body-count gate for every operation on (configuration, masses) ---------

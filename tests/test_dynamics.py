@@ -1,11 +1,15 @@
 """Integrators, conserved-quantity monitors, and the exact harmonic flow."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonia import (
+    CollisionSingularity,
     IntegratorSpec,
     MassVector,
     NonFiniteState,
@@ -26,7 +30,8 @@ from harmonia import (
     total_energy,
 )
 from harmonia import dynamics
-from harmonia.dynamics import MAX_SAMPLES, MAX_STEPS
+from harmonia.core import _inertia, _potential
+from harmonia.dynamics import _CHUNK_ELEMENTS, MAX_SAMPLES, MAX_STEPS, _check_sample_budget
 from conftest import central_difference_gradient, equilateral
 
 HARMONIC = PotentialSpec.harmonic()
@@ -118,6 +123,97 @@ def test_integrator_spec_sample_budget():
     assert err.value.field == "sample_stride"
     assert IntegratorSpec("rk4", 1.0, float(MAX_SAMPLES), sample_stride=2).n_steps \
         == MAX_SAMPLES
+
+
+def test_sample_budget_counts_bodies_and_refuses_before_allocating():
+    # 4001 samples of 300 bodies would hold 38 MB of q and v
+    n = 300
+    masses = MassVector(np.ones(n))
+    state = PhaseState(np.zeros((n, 2)), np.zeros((n, 2)))
+    spec = IntegratorSpec("velocity_verlet", 1.0, 4000.0, sample_stride=1)
+    reason = f"run would retain 4001 samples of 300 bodies, over {MAX_SAMPLES} samples x bodies"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as stride:
+            integrate(state, spec, HARMONIC, masses)
+        with pytest.raises(ValidationError) as times:
+            harmonic_flow(state, masses, np.arange(4001.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (stride.value.field, stride.value.reason) == ("sample_stride", reason)
+    assert (times.value.field, times.value.reason) == ("times", reason)
+    assert peak < 200_000
+    _check_sample_budget(MAX_SAMPLES // n, n, "times")
+    with pytest.raises(ValidationError):
+        _check_sample_budget(MAX_SAMPLES // n + 1, n, "times")
+
+
+def test_integrate_holds_its_samples_once():
+    # the trajectory keeps the arrays integrate filled, not copies of them
+    state = PhaseState(equilateral(), np.zeros((3, 2)))
+    tracemalloc.start()
+    try:
+        traj = integrate(state, IntegratorSpec("velocity_verlet", 1e-3, 2.0, sample_stride=1),
+                         HARMONIC, M3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 2001
+    assert peak < 1.5 * (traj.q.nbytes + traj.v.nbytes)
+
+
+def test_trajectory_copies_writable_arrays_and_keeps_read_only_ones():
+    times = np.array([0.0, 1.0])
+    q = np.zeros((2, 3, 2))
+    v = np.zeros((2, 3, 2))
+    v.setflags(write=False)
+    traj = Trajectory(times, q, v, HARMONIC, M3)
+    assert traj.q is not q and q.flags.writeable and not traj.q.flags.writeable
+    assert traj.times is not times and times.flags.writeable
+    assert traj.v is v
+
+
+@st.composite
+def chunked_trajectories(draw):
+    """n = 16..40 bodies at sample counts next to a multiple of the chunk size."""
+    n = draw(st.integers(16, 40))
+    chunk = _CHUNK_ELEMENTS // (n * n)
+    size = draw(st.sampled_from([chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-5, 5))
+    return (scale * rng.uniform(-1.0, 1.0, (size, n, 2)), MassVector(rng.uniform(0.1, 10.0, n)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(system=chunked_trajectories())
+def test_chunked_series_equal_the_one_configuration_calls(system):
+    q, masses = system
+    times = np.arange(float(len(q)))
+    assert Trajectory(times, q, q, HARMONIC, masses).inertia.tolist() \
+        == [_inertia(row, masses.m) for row in q]
+    for potential in (PotentialSpec.newtonian(), PotentialSpec.power(-2.0, 1.0),
+                      PotentialSpec.power(1.5, 0.5)):
+        assert Trajectory(times, q, q, potential, masses).potential_energy.tolist() \
+            == [_potential(potential, row, masses.m) for row in q]
+
+
+def test_collision_in_a_chunked_potential_series_names_the_per_sample_loops_pair(rng):
+    # the collisions sit in the third chunk, the later one closer and earlier in pair order
+    n = 20
+    chunk = _CHUNK_ELEMENTS // n ** 2
+    q = rng.uniform(-1.0, 1.0, (4 * chunk, n, 2))
+    q[2 * chunk + 1, 7] = q[2 * chunk + 1, 3]
+    q[2 * chunk, 9] = q[2 * chunk, 18] + [0.0, 2e-13]
+    masses = MassVector(np.ones(n))
+    for potential in (PotentialSpec.newtonian(), PotentialSpec.power(-2.0, 1.0)):
+        with pytest.raises(CollisionSingularity) as per_sample:
+            for row in q:
+                _potential(potential, row, masses.m)
+        with pytest.raises(CollisionSingularity) as series:
+            Trajectory(np.arange(float(len(q))), q, q, potential, masses).potential_energy
+        assert str(series.value) == str(per_sample.value) \
+            == "bodies 10 and 19 separated by 2.000e-13"
 
 
 def test_two_body_matches_closed_form():
