@@ -26,11 +26,13 @@ from .core import (
     _bodies,
     _centering_hessian,
     _cm_offsets,
+    _frozen,
     _gradient_rows,
     _hessian_rows,
     _inertia,
     _mass_weighted_offsets,
     _pair_offsets,
+    _require_bodies,
 )
 from .errors import CollisionSingularity, DegenerateGradient, NoConvergence, ValidationError
 
@@ -39,7 +41,7 @@ _INERTIA_REL_TOL = 1e-12
 _RESOLVED_INERTIA_RTOL = 1e-8
 
 # verify_continuum's time grows about linearly with the sample count: 16384 samples
-# take ~0.5 s on a 2-vCPU Xeon, mostly in building each sample's configuration
+# take ~0.1 s on a 2-vCPU Xeon, mostly in making each sample's CCReport and FamilySample
 MAX_FAMILY_SAMPLES = 16384
 # a rotation that fits two samples to this rigidity residual, times sqrt(k), makes them one shape
 _EQUIVALENCE_TOL = 1e-9
@@ -59,10 +61,11 @@ class CCReport:
 
 @dataclass(frozen=True)
 class FamilySample:
-    """One member of the isosceles family, its verdict and the r23 the screen compared."""
+    """One member of the isosceles family, its verdict and the r23 the screen compared;
+    ``config`` holds its read-only (3, 2) positions, a row of one stack for all samples."""
 
     eta: float
-    config: PlanarConfiguration
+    config: np.ndarray
     report: CCReport
     r23: float
 
@@ -288,11 +291,22 @@ def theorem1_family(k: float, eta: float) -> PlanarConfiguration:
     potential, and distinct eta in (0, pi/2] give rotationally
     inequivalent shapes.
     """
+    return PlanarConfiguration(_family_positions(k, [eta])[0])
+
+
+def _family_positions(k: float, etas) -> np.ndarray:
+    """Read-only (S, 3, 2) positions of ``theorem1_family`` at the S ``etas``, with
+    libm's cos and sin, which round alike on every platform, unlike numpy's SIMD loops."""
     if not np.isfinite(k) or k <= 0.0:
         raise ValidationError("k", "must be positive")
-    y1 = math.sqrt(1.5 * k) * math.cos(eta)
-    x3 = math.sqrt(0.5 * k) * math.sin(eta)
-    return PlanarConfiguration(np.array([[0.0, y1], [-x3, 0.0], [x3, 0.0]]))
+    if not np.isfinite(etas).all():
+        raise ValidationError("eta", "must be finite")
+    q = np.zeros((len(etas), 3, 2))
+    q[:, 0, 1] = math.sqrt(1.5 * k) * np.array([math.cos(eta) for eta in etas])
+    q[:, 2, 0] = math.sqrt(0.5 * k) * np.array([math.sin(eta) for eta in etas])
+    q[:, 1, 0] = -q[:, 2, 0]
+    _require_bodies(np.isfinite(q), "q", "coordinates must be finite")
+    return _frozen(q)
 
 
 def family_masses() -> MassVector:
@@ -312,7 +326,7 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     samples whose r23 lie within that margin of each other fail the
     certificate; no fit is made. Margin and r23 both scale with sqrt(k),
     so the verdict does not depend on k. At most MAX_FAMILY_SAMPLES samples
-    are accepted. ``theorem1_family`` checks k.
+    are accepted. ``_family_positions`` checks k and builds all samples in one stack.
     """
     if not 2 <= n_samples <= MAX_FAMILY_SAMPLES or int(n_samples) != n_samples:
         raise ValidationError("n_samples", f"need 2 to {MAX_FAMILY_SAMPLES} samples")
@@ -320,15 +334,14 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
 
     masses = family_masses()
     etas = [(math.pi / 2.0) * j / n_samples for j in range(1, n_samples + 1)]
-    configs = [theorem1_family(k, eta) for eta in etas]
-    stack = np.stack([config.q for config in configs])
+    stack = _family_positions(k, etas)
+    # raises at a k whose gradients overflow before the screen could overflow r23
+    reports = _cc_residual(stack, masses.m, PotentialSpec.harmonic(), tol)
     _, offsets = _cm_offsets(stack, masses.m)
     r23, margin, unseparated = _unseparated_pairs(offsets, masses, _EQUIVALENCE_TOL * math.sqrt(k))
-    reports = _cc_residual(stack, masses.m, PotentialSpec.harmonic(), tol)
-    samples = []
-    failures = []
+    samples, failures = [], []
     for eta, config, report, base, inertia in zip(
-            etas, configs, reports, r23.tolist(), _inertia(stack, masses.m).tolist()):
+            etas, stack, reports, r23.tolist(), _inertia(stack, masses.m).tolist()):
         samples.append(FamilySample(eta, config, report, base))
         if not report.is_cc:
             failures.append(f"eta={eta:.6f}: residual {report.residual:.3e} exceeds {tol:g}")

@@ -12,23 +12,13 @@ Scenario files are JSON documents:
       "tolerances": {"cc": 1e-9}                        optional overrides
     }
 
-Unknown keys are rejected. The parser checks only the JSON shape: keys,
-required keys, numbers, [x, y] pairs, a string kind and method, and an
-integer stride. Ranges are
-checked by the domain types it builds (MassVector, PhaseState,
-PotentialSpec, IntegratorSpec), and their errors name the field as the
-document does ("masses[0]", "integrator.stride"). A run may take at most
-dynamics.MAX_STEPS = 10^7 steps (t_end / dt) and retain at most
-dynamics.MAX_SAMPLES = 10^6 samples times bodies; ``family`` takes at most
-central_config.MAX_FAMILY_SAMPLES = 16384 samples; two samples whose
-base lengths lie within the screen margin of a 1e-9 sqrt(k) rotation
-tolerance fail the certificate.
-``simulate`` replaces the file named by ``--out`` only when the run
-succeeds.
+Unknown keys are rejected (``parse_scenario`` checks the shape, the domain
+types the ranges). The budgets are dynamics.MAX_STEPS, dynamics.MAX_SAMPLES
+and central_config.MAX_FAMILY_SAMPLES. ``simulate`` replaces the file named
+by ``--out`` only when the run succeeds.
 
-CSV output carries t, per-body qx/qy/vx/vy
-columns (1-based body labels), then I, U, E, all printed with 17
-significant digits so values round-trip bit exactly.
+CSV output carries t, per-body qx/qy/vx/vy columns (1-based body labels),
+then I, U, E, all printed with 17 significant digits so values round-trip bit exactly.
 
 Exit codes: 0 pass, 1 runtime, validation or usage error, 2 verification failed.
 """

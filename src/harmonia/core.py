@@ -32,6 +32,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_bodies(ok: np.ndarray, field: str, reason: str) -> None:
+    """Raise ValidationError on ``field[i]`` at the first body i that fails ``ok``, which
+    holds a flag per mass (n,) or coordinate (n, 2), or per coordinate of an (S, n, 2)
+    stack, whose first failing configuration is searched."""
+    if not ok.all():
+        i = np.argwhere(~(ok if ok.ndim == 1 else ok.all(axis=-1)))[0, -1]
+        raise ValidationError(f"{field}[{i}]", reason)
+
+
 def rotation(angle) -> np.ndarray:
     """Counterclockwise rotation matrix for ``angle`` radians, (..., 2, 2) for angles (...)."""
     c = np.cos(angle)
@@ -51,12 +60,8 @@ class MassVector:
             raise ValidationError("m", "expected a flat sequence of masses")
         if m.size < 2:
             raise ValidationError("m", "need at least two bodies")
-        if not np.all(np.isfinite(m)):
-            i = int(np.flatnonzero(~np.isfinite(m))[0])
-            raise ValidationError(f"m[{i}]", "mass must be finite")
-        if np.any(m <= 0.0):
-            i = int(np.flatnonzero(m <= 0.0)[0])
-            raise ValidationError(f"m[{i}]", "mass must be positive")
+        _require_bodies(np.isfinite(m), "m", "mass must be finite")
+        _require_bodies(m > 0.0, "m", "mass must be positive")
         object.__setattr__(self, "m", _frozen(m))
 
     @property
@@ -80,9 +85,7 @@ class PlanarConfiguration:
             raise ValidationError("q", "expected an (n, 2) array of positions")
         if q.shape[0] < 1:
             raise ValidationError("q", "need at least one body")
-        if not np.all(np.isfinite(q)):
-            i = int(np.flatnonzero(~np.isfinite(q).all(axis=1))[0])
-            raise ValidationError(f"q[{i}]", "coordinates must be finite")
+        _require_bodies(np.isfinite(q), "q", "coordinates must be finite")
         object.__setattr__(self, "q", _frozen(q))
 
     @property
@@ -104,9 +107,7 @@ class PhaseState:
         v = np.array(self.v, dtype=float)
         if v.shape != config.q.shape:
             raise ValidationError("v", "velocities must match positions in shape")
-        if not np.all(np.isfinite(v)):
-            i = int(np.flatnonzero(~np.isfinite(v).all(axis=1))[0])
-            raise ValidationError(f"v[{i}]", "velocity must be finite")
+        _require_bodies(np.isfinite(v), "v", "velocity must be finite")
         if not np.isfinite(self.t):
             raise ValidationError("t", "time must be finite")
         object.__setattr__(self, "v", _frozen(v))
@@ -303,18 +304,25 @@ def _potential(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray):
     return potential.coupling * _per_configuration((w * r ** potential.exponent).sum(axis=-1), q)
 
 
-def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    if potential.kind == HARMONIC:
-        return float(mass.sum()) * _mass_weighted_offsets(q, mass)
+def _pair_coefficients(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray):
+    """i, j, dx, dy of ``_pair_separations``, the distances rr, the exponent alpha and the
+    coefficient c = a alpha m_i m_j rr^(alpha - 2) (alpha = -1, a = 1 Newtonian) of the
+    pairs i < j: each adds c (q_i - q_j) to grad U at body i and takes it from body j."""
     i, j, dx, dy, r = _pair_separations(potential, q)
     w = mass[i] * mass[j]
     if potential.kind == NEWTONIAN:
-        coef = w / (r * r * r)
-    else:
-        # coincident pairs exert no force under nonsingular kinds (pass-through):
-        # dx = dy = 0 there, so r = 1 in place of r = 0 keeps the product finite
-        coef = (potential.coupling * potential.exponent) * w \
-            * (r + (r == 0.0)) ** (potential.exponent - 2.0)
+        return i, j, dx, dy, r, -1.0, w / (r * r * r)
+    # coincident pairs exert no force under nonsingular kinds (pass-through):
+    # dx = dy = 0 there, so r = 1 in place of r = 0 keeps the product finite
+    alpha = potential.exponent
+    rr = r + (r == 0.0)
+    return i, j, dx, dy, rr, alpha, (potential.coupling * alpha) * w * rr ** (alpha - 2.0)
+
+
+def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    if potential.kind == HARMONIC:
+        return float(mass.sum()) * _mass_weighted_offsets(q, mass)
+    i, j, dx, dy, _, _, coef = _pair_coefficients(potential, q, mass)
     n = q.shape[0]
     fx = coef * dx
     fy = coef * dy
@@ -334,24 +342,15 @@ def _hessian_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> 
     """Exact Hessian of the potential, shape (2n, 2n), coordinate 2i + c for body i.
 
     Each pair i < j adds the 2x2 block B = c I_2 + (c'/r) d d^T, with
-    d = q_i - q_j and c(r) the coefficient of ``_gradient_rows``, to the
+    d = q_i - q_j and c(r) the coefficient of ``_pair_coefficients``, to the
     diagonal blocks (i, i) and (j, j), and -B to (i, j) and (j, i).
     """
     if potential.kind == HARMONIC:
         return float(mass.sum()) * _centering_hessian(mass)
-    i, j, dx, dy, r = _pair_separations(potential, q)
-    w = mass[i] * mass[j]
-    if potential.kind == NEWTONIAN:
-        c = w / (r * r * r)
-        c_over_r = -3.0 * c / (r * r)
-    else:
-        # the pass-through r = 1 of _gradient_rows; d d^T = 0 at a coincident pair
-        alpha = potential.exponent
-        rr = r + (r == 0.0)
-        c = (potential.coupling * alpha) * w * rr ** (alpha - 2.0)
-        c_over_r = (alpha - 2.0) * c / (rr * rr)
-    d = np.stack([dx, dy], axis=-1)
-    outer = d[:, :, None] * d[:, None, :]
+    # d d^T = 0 at a coincident pair, where rr = 1 passes it through
+    i, j, dx, dy, rr, alpha, c = _pair_coefficients(potential, q, mass)
+    c_over_r = (alpha - 2.0) * c / (rr * rr)
+    outer = np.stack([dx * dx, dx * dy, dx * dy, dy * dy], axis=-1).reshape(-1, 2, 2)  # d d^T
     block = c[:, None, None] * np.eye(2) + c_over_r[:, None, None] * outer
     n = q.shape[0]
     hess = np.zeros((n, n, 2, 2))

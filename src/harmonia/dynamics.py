@@ -117,11 +117,9 @@ class Trajectory:
     array that already is read-only float64 (as ``integrate`` and
     ``harmonic_flow`` build them) is held as it is, anything else is
     copied. The invariant series ``inertia``, ``potential_energy`` and
-    ``energy`` are computed on first use and then shared by every consumer
-    of the trajectory. ``inertia`` and ``potential_energy`` run core's
-    stacked kernels on chunks of samples whose n x n tables hold at most
-    2^12 elements (one sample a chunk from n = 46 up), and each value
-    equals the one-configuration call's bit for bit.
+    ``energy`` are computed on first use, by core's stacked kernels in
+    ``_chunked`` chunks, each value bit-identical to the one-configuration
+    call, and then shared by every consumer of the trajectory.
     """
 
     times: np.ndarray

@@ -349,6 +349,50 @@ def test_family_potential_energy_constant():
         assert potential_energy(HARMONIC, config, M3) == pytest.approx(3.0, rel=1e-12)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(k=st.floats(1e-300, 1e300),
+       etas=st.lists(st.floats(0.0, math.pi / 2.0, exclude_min=True), min_size=1, max_size=16))
+def test_stacked_family_rows_equal_the_one_angle_configuration(k, etas):
+    stack = central_config._family_positions(k, etas)
+    assert stack.shape == (len(etas), 3, 2)
+    assert not stack.flags.writeable
+    for row, eta in zip(stack, etas):
+        # the libm formula, one angle at a time
+        y1 = math.sqrt(1.5 * k) * math.cos(eta)
+        x3 = math.sqrt(0.5 * k) * math.sin(eta)
+        assert (row == theorem1_family(k, eta).q).all()
+        assert (row == np.array([[0.0, y1], [-x3, 0.0], [x3, 0.0]])).all()
+
+
+@pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])
+def test_family_refuses_non_finite_angles(eta):
+    with pytest.raises(ValidationError) as err:
+        theorem1_family(1.0, eta)
+    assert (err.value.field, err.value.reason) == ("eta", "must be finite")
+
+
+def test_family_names_the_first_body_whose_positions_overflow():
+    # y1 = sqrt(1.5 k) overflows, x3 = sqrt(0.5 k) does not
+    with pytest.raises(ValidationError) as err:
+        central_config._family_positions(1.5e308, [0.3, 0.7])
+    assert str(err.value) == "q[0]: coordinates must be finite"
+
+
+def test_verify_continuum_holds_rows_of_one_stack_and_builds_no_configuration(monkeypatch):
+    built = []
+    check = PlanarConfiguration.__post_init__
+    monkeypatch.setattr(PlanarConfiguration, "__post_init__",
+                        lambda self: built.append(check(self)))
+    report = verify_continuum(1.0, 64)
+    assert built == []
+    (stack,) = {id(s.config.base): s.config.base for s in report.samples}.values()
+    assert stack.shape == (64, 3, 2) and not stack.flags.writeable
+    for row, s in zip(stack, report.samples):
+        assert type(s.config) is np.ndarray and s.config.shape == (3, 2)
+        assert not s.config.flags.writeable
+        assert (s.config == row).all()
+
+
 def test_rotational_equivalence_basic(rng):
     config = PlanarConfiguration(rng.uniform(-2, 2, size=(4, 2)))
     masses = MassVector(np.ones(4))
@@ -501,20 +545,23 @@ def test_verify_continuum_holds_across_scales(k):
 
 def test_verify_continuum_names_repeated_samples_as_the_all_pairs_fit_did(monkeypatch):
     n = 32
-    family = central_config.theorem1_family
+    build = central_config._family_positions
 
     def eta(j):
         return (math.pi / 2.0) * j / n
 
-    def tampered(k, angle):
-        # sample 3 is sample 25 turned about its center of mass; sample 20 repeats sample 5
-        if angle == eta(3):
-            return rotated_about_cm(family(k, eta(25)), 2.0)
-        return family(k, eta(5) if angle == eta(20) else angle)
+    def tampered(k, etas):
+        # row j - 1 holds sample j, at eta(j): sample 3 is sample 25 turned about its
+        # center of mass; sample 20 repeats sample 5
+        q = build(k, etas).copy()
+        q[2] = rotated_about_cm(PlanarConfiguration(q[24]), 2.0).q
+        q[19] = q[4]
+        q.setflags(write=False)
+        return q
 
-    monkeypatch.setattr(central_config, "theorem1_family", tampered)
+    monkeypatch.setattr(central_config, "_family_positions", tampered)
     report = verify_continuum(1.0, n)
-    _, offsets = _cm_offsets(np.stack([s.config.q for s in report.samples]), M3.m)
+    _, offsets = _cm_offsets(np.stack([s.config for s in report.samples]), M3.m)
     assert [(report.samples[i].eta, report.samples[j].eta)
             for i, j in all_pairs_equivalent(offsets, M3)] == [(eta(3), eta(25)), (eta(5), eta(20))]
     assert not report.verdict

@@ -503,6 +503,18 @@ def test_family_rejects_too_many_samples_at_once(capsys):
     assert capsys.readouterr().out == "error: n_samples: need 2 to 16384 samples\n"
 
 
+@pytest.mark.parametrize("k, line", [
+    ("1e308", "error: q: gradient overflow: |grad I| = inf, |grad U| = inf"),
+    ("1.5e308", "error: q[0]: coordinates must be finite"),
+], ids=["gradient-overflow", "position-overflow"])
+def test_family_at_overflowing_k_prints_one_error_and_no_warning(capsys, k, line):
+    # the test config's filterwarnings makes a numpy RuntimeWarning an error: none may be raised
+    assert main(["family", "--k", k, "--samples", "64"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == line + "\n"
+    assert captured.err == ""
+
+
 def test_family_at_tiny_k_passes_at_the_sample_cap(capsys):
     # the screen margin scales with sqrt(k), as r23 does
     assert main(["family", "--k", "1e-20", "--samples", "16384"]) == EXIT_OK

@@ -37,6 +37,7 @@ from harmonia.core import (
     _pair_offsets,
     _pair_separations,
     _potential,
+    _require_bodies,
 )
 from conftest import central_difference_gradient
 
@@ -76,6 +77,29 @@ def test_configuration_rejects_bad_input():
 def test_phase_state_requires_matching_velocities():
     with pytest.raises(ValidationError):
         PhaseState(TRIANGLE, [[0.0, 0.0]])
+
+
+def test_one_rule_names_the_first_failing_body():
+    nan, inf = float("nan"), float("inf")
+
+    def message(call):
+        with pytest.raises(ValidationError) as err:
+            call()
+        return str(err.value)
+
+    assert message(lambda: MassVector([1.0, 2.0, nan, inf])) == "m[2]: mass must be finite"
+    assert message(lambda: MassVector([1.0, 2.0, 0.0, -1.0])) == "m[2]: mass must be positive"
+    assert message(lambda: PlanarConfiguration([[0.0, 0.0], [1.0, nan], [inf, 0.0]])) \
+        == "q[1]: coordinates must be finite"
+    assert message(lambda: PhaseState(TRIANGLE, [[0.0, 0.0], [0.0, 0.0], [-inf, 0.0]])) \
+        == "v[2]: velocity must be finite"
+    # a stack names the body of its first configuration that holds one
+    stack = np.zeros((3, 3, 2))
+    stack[1, 2, 0] = stack[2, 0, 1] = inf
+    finite = np.isfinite(stack)
+    assert message(lambda: _require_bodies(finite, "q", "coordinates must be finite")) \
+        == "q[2]: coordinates must be finite"
+    _require_bodies(finite[:1], "q", "coordinates must be finite")
 
 
 def test_potential_spec_validation():
