@@ -326,7 +326,8 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     samples whose r23 lie within that margin of each other fail the
     certificate; no fit is made. Margin and r23 both scale with sqrt(k),
     so the verdict does not depend on k. At most MAX_FAMILY_SAMPLES samples
-    are accepted. ``_family_positions`` checks k and builds all samples in one stack.
+    are accepted. ``_family_positions`` checks k and builds all samples in one stack;
+    a k at which they or their gradients overflow is refused as too large.
     """
     if not 2 <= n_samples <= MAX_FAMILY_SAMPLES or int(n_samples) != n_samples:
         raise ValidationError("n_samples", f"need 2 to {MAX_FAMILY_SAMPLES} samples")
@@ -334,9 +335,12 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
 
     masses = family_masses()
     etas = [(math.pi / 2.0) * j / n_samples for j in range(1, n_samples + 1)]
-    stack = _family_positions(k, etas)
-    # raises at a k whose gradients overflow before the screen could overflow r23
-    reports = _cc_residual(stack, masses.m, PotentialSpec.harmonic(), tol)
+    try:  # before the r23 screen could overflow
+        stack = _family_positions(k, etas)
+        reports = _cc_residual(stack, masses.m, PotentialSpec.harmonic(), tol)
+    except ValidationError as exc:  # "k: must be positive", else an overflow at too large a k
+        raise exc if exc.field == "k" else ValidationError(
+            "k", "too large: the family's gradients overflow") from None
     _, offsets = _cm_offsets(stack, masses.m)
     r23, margin, unseparated = _unseparated_pairs(offsets, masses, _EQUIVALENCE_TOL * math.sqrt(k))
     samples, failures = [], []

@@ -1,12 +1,14 @@
 """Equations of motion, fixed-step integrators, and the exact harmonic flow.
 
 Two integrators are provided: velocity_verlet (symplectic, time reversible)
-and rk4 (classical fourth order). The harmonic equations of motion are
-linear, so ``harmonic_flow`` solves them exactly for any initial state; the
-rhombus counterexample and the rigidly rotating control are two of its
-solutions. Collisions of the harmonic flow are not singular; bodies pass
-through each other. Every solution is returned as a ``Trajectory``, one
-set of arrays over the retained samples.
+and rk4 (classical fourth order). Both step one (3, n, 2) state (q, v, a) in
+place; rk4 forms each stage's q and v together, with the textbook step's
+operations in its order, so it is bit for bit that step on q and v apart. The
+harmonic equations of motion are linear, so ``harmonic_flow`` solves them
+exactly for any initial state; the rhombus counterexample and the rigidly
+rotating control are two of its solutions. Collisions of the harmonic flow
+are not singular; bodies pass through each other. Every solution is
+returned as a ``Trajectory``, one set of arrays over the retained samples.
 """
 
 from __future__ import annotations
@@ -169,54 +171,58 @@ class Trajectory:
 
 
 def _acceleration_function(potential: PotentialSpec, m: MassVector):
-    mass = m.m
-    total = m.total
+    mass, total = m.m, m.total
     if potential.kind == HARMONIC:
         # a_i = -M (q_i - q_cm), independent of the body's own mass
-        def accel(q: np.ndarray) -> np.ndarray:
-            return (mass @ q) - total * q
+        def accel(q: np.ndarray, out: np.ndarray) -> None:
+            np.subtract(mass @ q, total * q, out=out)
 
         return accel
 
-    inv = 1.0 / mass[:, None]
+    neg_inv = -(1.0 / mass[:, None])
 
-    def accel(q: np.ndarray) -> np.ndarray:
-        return -inv * _gradient_rows(potential, q, mass)
+    def accel(q: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(neg_inv, _gradient_rows(potential, q, mass), out=out)
 
     return accel
 
 
-def _verlet_stepper(accel, q: np.ndarray, dt: float):
-    """Velocity Verlet ``step(q, v) -> (q, v)``, in place; it carries the
-    acceleration, so each step makes one ``accel`` call after the first at ``q``."""
-    a = accel(q)
+def _verlet_stepper(accel, w: np.ndarray, dt: float):
+    """Velocity Verlet ``step()`` on the state ``w`` = (q, v, a), in place; it
+    carries a, so each step makes one ``accel`` call after the first at q."""
+    q, v, a = w
+    accel(q, a)
     half = 0.5 * dt
 
-    def step(q: np.ndarray, v: np.ndarray):
-        nonlocal a
-        v += half * a
-        q += dt * v
-        a = accel(q)
-        v += half * a
-        return q, v
+    def step() -> None:
+        np.add(v, half * a, out=v)
+        np.add(q, dt * v, out=q)
+        accel(q, a)
+        np.add(v, half * a, out=v)
 
     return step
 
 
-def _rk4_stepper(accel, dt: float):
-    """Classical Runge-Kutta ``step(q, v) -> (q, v)``: four ``accel`` calls a step."""
+def _rk4_stepper(accel, w: np.ndarray, dt: float):
+    """Classical Runge-Kutta ``step()`` on ``w`` = (q, v, a), in place, with four
+    ``accel`` calls. y = w[:2] = (q, v) has the derivative k1 = w[1:] = (v, a(q));
+    each stage forms y + c k in a buffer z = (q_s, v_s, a(q_s)), whose slope is
+    z[1:]. Every element takes the textbook step's IEEE operations in its order
+    and ``mass @ q`` is the one reduction, so each step is bit-identical to it."""
     half, sixth = 0.5 * dt, dt / 6.0
+    q, a, y, k1 = w[0], w[2], w[:2], w[1:]
+    (y2, q2, a2, k2), (y3, q3, a3, k3), (y4, q4, a4, k4) = (
+        (z[:2], z[0], z[2], z[1:]) for z in np.empty((3, *w.shape)))
 
-    def step(q: np.ndarray, v: np.ndarray):
-        k1v = accel(q)
-        k2v = accel(q + half * v)
-        k2q = v + half * k1v
-        k3v = accel(q + half * k2q)
-        k3q = v + half * k2v
-        k4v = accel(q + dt * k3q)
-        k4q = v + dt * k3v
-        return (q + sixth * (v + 2.0 * k2q + 2.0 * k3q + k4q),
-                v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+    def step() -> None:
+        accel(q, a)
+        np.add(y, half * k1, out=y2)
+        accel(q2, a2)
+        np.add(y, half * k2, out=y3)
+        accel(q3, a3)
+        np.add(y, dt * k3, out=y4)
+        accel(q4, a4)
+        np.add(y, sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4), out=y)
 
     return step
 
@@ -247,22 +253,21 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
     steps = np.minimum(stride * np.arange(samples), n_steps)
     times = state0.t + steps * dt
 
-    q = np.array(state0.config.q)
-    v = np.array(state0.v)
-    qs = np.empty((steps.size, *q.shape))
+    w = np.stack([state0.config.q, state0.v, np.empty((m.n, 2))])
+    qs = np.empty((steps.size, m.n, 2))
     vs = np.empty_like(qs)
-    qs[0], vs[0] = q, v
+    qs[0], vs[0] = w[:2]
 
     # overflow on a diverging state is reported through NonFiniteState
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _verlet_stepper(accel, q, dt) if integrator.method == VELOCITY_VERLET \
-            else _rk4_stepper(accel, dt)
+        step = (_verlet_stepper if integrator.method == VELOCITY_VERLET else _rk4_stepper)(
+            accel, w, dt)
         for s in range(1, steps.size):
             for _ in range(steps[s] - steps[s - 1]):
-                q, v = step(q, v)
-            if not (np.isfinite(q).all() and np.isfinite(v).all()):
+                step()
+            if not np.isfinite(w[:2]).all():
                 raise NonFiniteState(f"non-finite state at step {steps[s]} (t={times[s]:g})")
-            qs[s], vs[s] = q, v
+            qs[s], vs[s] = w[:2]
 
     return Trajectory(_frozen(times), _frozen(qs), _frozen(vs), potential, m)
 

@@ -504,8 +504,8 @@ def test_family_rejects_too_many_samples_at_once(capsys):
 
 
 @pytest.mark.parametrize("k, line", [
-    ("1e308", "error: q: gradient overflow: |grad I| = inf, |grad U| = inf"),
-    ("1.5e308", "error: q[0]: coordinates must be finite"),
+    ("1e308", "error: k: too large: the family's gradients overflow"),
+    ("1.5e308", "error: k: too large: the family's gradients overflow"),
 ], ids=["gradient-overflow", "position-overflow"])
 def test_family_at_overflowing_k_prints_one_error_and_no_warning(capsys, k, line):
     # the test config's filterwarnings makes a numpy RuntimeWarning an error: none may be raised

@@ -30,7 +30,7 @@ from harmonia import (
     total_energy,
 )
 from harmonia import dynamics
-from harmonia.core import _inertia, _potential
+from harmonia.core import HARMONIC as HARMONIC_KIND, _gradient_rows, _inertia, _potential
 from harmonia.dynamics import _CHUNK_ELEMENTS, MAX_SAMPLES, MAX_STEPS, _check_sample_budget
 from conftest import central_difference_gradient, equilateral
 
@@ -59,7 +59,9 @@ def rhombus_closed_form(k, times):
 
 def accelerations(potential, q, m):
     """The integrator's force: a_i = -(1/m_i) dU/dq_i, one row per body."""
-    return dynamics._acceleration_function(potential, m)(q)
+    out = np.empty(np.shape(q))
+    dynamics._acceleration_function(potential, m)(q, out)
+    return out
 
 
 def test_accelerations_rhombus():
@@ -270,6 +272,81 @@ def test_integrators_make_a_fixed_number_of_kernel_calls(monkeypatch, method, ca
     traj = integrate(state, IntegratorSpec(method, 0.01, 0.15), PotentialSpec.newtonian(), M3)
     assert len(seen) == calls
     assert traj.times.tolist() == [0.0, 10 * 0.01, 15 * 0.01]
+
+
+def textbook_integrate(state0, spec, potential, m):
+    """``integrate`` with q and v held apart: the tuple-returning steppers and the
+    sampling loop written term by term, the oracle of the stacked (q, v, a) state."""
+    mass, total = m.m, m.total
+    if potential.kind == HARMONIC_KIND:
+        def accel(q):
+            return (mass @ q) - total * q
+    else:
+        inv = 1.0 / mass[:, None]
+
+        def accel(q):
+            return -inv * _gradient_rows(potential, q, mass)
+
+    dt = spec.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    q, v = np.array(state0.config.q), np.array(state0.v)
+    a = accel(q)
+
+    def verlet(q, v):
+        nonlocal a
+        v += half * a
+        q += dt * v
+        a = accel(q)
+        v += half * a
+        return q, v
+
+    def rk4(q, v):
+        k1v = accel(q)
+        k2v = accel(q + half * v)
+        k2q = v + half * k1v
+        k3v = accel(q + half * k2q)
+        k3q = v + half * k2v
+        k4v = accel(q + dt * k3q)
+        k4q = v + dt * k3v
+        return (q + sixth * (v + 2.0 * k2q + 2.0 * k3q + k4q),
+                v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+    step = verlet if spec.method == "velocity_verlet" else rk4
+    steps = np.minimum(spec.sample_stride * np.arange(-(-spec.n_steps // spec.sample_stride) + 1),
+                       spec.n_steps)
+    qs, vs = [q.copy()], [v.copy()]
+    for s in range(1, steps.size):
+        for _ in range(steps[s] - steps[s - 1]):
+            q, v = step(q, v)
+        qs.append(q.copy())
+        vs.append(v.copy())
+    return state0.t + steps * dt, np.array(qs), np.array(vs)
+
+
+@st.composite
+def drifting_systems(draw):
+    """n = 2..8 bodies of random masses around a moving center of mass, and a stride."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masses = MassVector(rng.uniform(0.2, 5.0, n))
+    q = rng.uniform(-1.0, 1.0, (n, 2)) + rng.uniform(-5.0, 5.0, 2)
+    v = rng.uniform(-0.5, 0.5, (n, 2)) + rng.uniform(-1.0, 1.0, 2)
+    return PhaseState(q, v, rng.uniform(-1.0, 1.0)), masses, draw(st.integers(1, 7))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(system=drifting_systems())
+def test_stacked_state_steps_bit_for_bit_as_the_textbook_form(system):
+    state, masses, stride = system
+    for method in ("velocity_verlet", "rk4"):
+        spec = IntegratorSpec(method, 1e-3, 0.02, sample_stride=stride)
+        for potential in (HARMONIC, PotentialSpec.newtonian(), PotentialSpec.power(1.5, 1.0),
+                          PotentialSpec.power(-2.0, 1.0)):
+            traj = integrate(state, spec, potential, masses)
+            times, q, v = textbook_integrate(state, spec, potential, masses)
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.q, q)
+            assert np.array_equal(traj.v, v)
 
 
 def test_energy_drift_on_exact_trajectory():
