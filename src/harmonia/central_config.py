@@ -119,7 +119,7 @@ def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol:
             # raised, since an overflowing r^3 would round a pair force to 0, not to inf;
             # the harmonic gradient divides by nothing, so its overflows stay inf or NaN
             with np.errstate(over="ignore" if potential.kind == HARMONIC else "raise"):
-                g[:, 1] = _gradient_rows(potential, q, mass).reshape(size, n2)
+                g[:, 1] = _gradient_rows(potential, q, mass, relative=True).reshape(size, n2)
         except FloatingPointError:
             g[:, 1] = math.inf
         norms = np.sqrt(np.vecdot(g, g))

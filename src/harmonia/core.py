@@ -25,6 +25,8 @@ POTENTIAL_KINDS = (HARMONIC, NEWTONIAN, POWER)
 
 # Pair separations below this count as collisions for singular potentials.
 COLLISION_EPS = 1e-12
+# A relative collision threshold stays above 0, so that distances that all underflow collide.
+_LEAST_SEPARATION = float(np.finfo(float).tiny)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -188,15 +190,18 @@ def _distance_matrix(q: np.ndarray) -> np.ndarray:
     """Dense n x n table of pair distances |q_i - q_j|, (..., n, n) for ``q`` (..., n, 2)."""
     x = q[..., 0]
     y = q[..., 1]
-    dx = x[..., None] - x[..., None, :]
+    r = x[..., None] - x[..., None, :]  # dx, then r in the same buffer
     dy = y[..., None] - y[..., None, :]
-    return np.sqrt(dx * dx + dy * dy)
+    r *= r
+    r += np.multiply(dy, dy, out=dy)
+    return np.sqrt(r, out=r)
 
 
 @lru_cache(maxsize=8)
 def _pair_indices(n: int):
-    """Row-major (i, j) index arrays of the pairs i < j, shared across calls."""
-    return tuple(_frozen(a) for a in np.triu_indices(n, 1))
+    """Row-major (i, j) index arrays of the pairs i < j, shared across calls, so no caller
+    may write them; they stay writeable, as take and bincount copy a read-only index."""
+    return np.triu_indices(n, 1)
 
 
 def _pair_offsets(q: np.ndarray):
@@ -207,31 +212,39 @@ def _pair_offsets(q: np.ndarray):
     P pairs in the row-major order of ``_pair_indices``.
     """
     i, j = _pair_indices(q.shape[-2])
-    d = q.take(i, axis=-2) - q.take(j, axis=-2)
-    dx = d[..., 0]
-    dy = d[..., 1]
-    return i, j, dx, dy, np.sqrt(dx * dx + dy * dy)
+    d = q.take(i, axis=-2)
+    np.subtract(d, q.take(j, axis=-2), out=d)
+    dx, dy = d[..., 0], d[..., 1]
+    r = dx * dx
+    r += dy * dy
+    return i, j, dx, dy, np.sqrt(r, out=r)
 
 
-def _pair_separations(potential: PotentialSpec, q: np.ndarray):
+def _pair_separations(potential: PotentialSpec, q: np.ndarray, relative: bool = False):
     """``_pair_offsets`` of one configuration or a stack, checked for collisions.
 
     Raises CollisionSingularity when a singular potential sees a separation
-    below COLLISION_EPS. It names the first such configuration of a stack
-    and, in it, the first closest pair in row-major order, as a call per
-    configuration in stack order would.
+    below COLLISION_EPS or, if ``relative``, below COLLISION_EPS times the
+    largest separation of its configuration, or at 0. It names the first such
+    configuration of a stack and, in it, the first closest pair in row-major
+    order, as a call per configuration in stack order would.
     """
     i, j, dx, dy, r = _pair_offsets(q)
     # argmin finds the closest pair of all, or the first NaN; a NaN hides the pairs
-    # of its own configuration only, as in a call per configuration
-    if potential.singular and not r.item(r.argmin()) >= COLLISION_EPS:
+    # of its own configuration only, as in a call per configuration. The largest
+    # separation of the stack bounds the relative threshold of each configuration.
+    if potential.singular and not r.item(r.argmin()) >= (
+            max(COLLISION_EPS * r.max(), _LEAST_SEPARATION) if relative else COLLISION_EPS):
         rows = r.reshape(-1, r.shape[-1])
-        hit = np.flatnonzero(rows.min(axis=-1) < COLLISION_EPS)
+        eps = np.maximum(COLLISION_EPS * rows.max(axis=-1), _LEAST_SEPARATION) if relative \
+            else COLLISION_EPS
+        hit = np.flatnonzero(rows.min(axis=-1) < eps)
         if hit.size:
             row = rows[hit[0]]
             k = int(row.argmin())
+            pair, separation = (int(i[k]) + 1, int(j[k]) + 1), float(row[k])
             raise CollisionSingularity(
-                f"bodies {i[k] + 1} and {j[k] + 1} separated by {float(row[k]):.3e}")
+                f"bodies {pair[0]} and {pair[1]} separated by {separation:.3e}", pair, separation)
     return i, j, dx, dy, r
 
 
@@ -282,8 +295,10 @@ def _per_configuration(values: np.ndarray, q: np.ndarray):
 def _inertia(q: np.ndarray, mass: np.ndarray):
     """I of one configuration (a float) or of each row of an (..., n, 2) stack."""
     r = _distance_matrix(q)
-    w = mass[:, None] * mass[None, :]
-    return _per_configuration((w * r * r).sum(axis=(-2, -1)) / (2.0 * float(mass.sum())), q)
+    terms = np.multiply(mass[:, None], mass, out=np.empty_like(r))  # w, then (w r) r
+    terms *= r
+    terms *= r
+    return _per_configuration(terms.sum(axis=(-2, -1)) / (2.0 * float(mass.sum())), q)
 
 
 def potential_energy(potential: PotentialSpec, config, m) -> float:
@@ -296,36 +311,43 @@ def _potential(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray):
     """U of one configuration (a float) or of each row of an (..., n, 2) stack."""
     if potential.kind == HARMONIC:
         return 0.5 * float(mass.sum()) * _inertia(q, mass)
-    i, j, _, _, r = _pair_separations(potential, q)
+    r = _pair_separations(potential, q)[4]  # the offsets are freed here
+    i, j = _pair_indices(q.shape[-2])
     w = mass[i] * mass[j]
     if potential.kind == NEWTONIAN:
-        return _per_configuration(-(w / r).sum(axis=-1), q)
+        return _per_configuration(-np.divide(w, r, out=r).sum(axis=-1), q)
     # r ** alpha is 0 at a coincident pair when alpha > 0
-    return potential.coupling * _per_configuration((w * r ** potential.exponent).sum(axis=-1), q)
+    r **= potential.exponent
+    return potential.coupling * _per_configuration(np.multiply(w, r, out=r).sum(axis=-1), q)
 
 
-def _pair_coefficients(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray):
+def _pair_coefficients(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray,
+                       relative: bool = False):
     """i, j, dx, dy of ``_pair_separations``, the distances rr, the exponent alpha and the
     coefficient c = a alpha m_i m_j rr^(alpha - 2) (alpha = -1, a = 1 Newtonian) of the
-    pairs i < j: each adds c (q_i - q_j) to grad U at body i and takes it from body j."""
-    i, j, dx, dy, r = _pair_separations(potential, q)
+    pairs i < j of one configuration: each adds c (q_i - q_j) to grad U at body i and
+    takes it from body j. c is built in the buffer of m_i m_j, rr in that of r."""
+    i, j, dx, dy, r = _pair_separations(potential, q, relative)
     w = mass[i] * mass[j]
     if potential.kind == NEWTONIAN:
-        return i, j, dx, dy, r, -1.0, w / (r * r * r)
+        return i, j, dx, dy, r, -1.0, np.divide(w, r * r * r, out=w)
     # coincident pairs exert no force under nonsingular kinds (pass-through):
     # dx = dy = 0 there, so r = 1 in place of r = 0 keeps the product finite
     alpha = potential.exponent
-    rr = r + (r == 0.0)
-    return i, j, dx, dy, rr, alpha, (potential.coupling * alpha) * w * rr ** (alpha - 2.0)
+    r += r == 0.0
+    w *= potential.coupling * alpha
+    return i, j, dx, dy, r, alpha, np.multiply(w, r ** (alpha - 2.0), out=w)
 
 
-def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> np.ndarray:
+def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray,
+                   relative: bool = False) -> np.ndarray:
+    """grad U, (n, 2); ``relative`` selects ``_pair_separations``' collision threshold."""
     if potential.kind == HARMONIC:
         return float(mass.sum()) * _mass_weighted_offsets(q, mass)
-    i, j, dx, dy, _, _, coef = _pair_coefficients(potential, q, mass)
+    i, j, dx, dy, _, _, coef = _pair_coefficients(potential, q, mass, relative)
     n = q.shape[0]
     fx = coef * dx
-    fy = coef * dy
+    fy = np.multiply(coef, dy, out=coef)
     grad = np.empty((n, 2))
     np.subtract(np.bincount(i, fx, n), np.bincount(j, fx, n), out=grad[:, 0])
     np.subtract(np.bincount(i, fy, n), np.bincount(j, fy, n), out=grad[:, 1])

@@ -266,7 +266,8 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
             for _ in range(steps[s] - steps[s - 1]):
                 step()
             if not np.isfinite(w[:2]).all():
-                raise NonFiniteState(f"non-finite state at step {steps[s]} (t={times[s]:g})")
+                raise NonFiniteState(f"non-finite state at step {steps[s]} (t={times[s]:g})",
+                                     int(steps[s]), float(times[s]))
             qs[s], vs[s] = w[:2]
 
     return Trajectory(_frozen(times), _frozen(qs), _frozen(vs), potential, m)

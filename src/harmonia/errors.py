@@ -19,11 +19,28 @@ class ParseError(HarmoniaError):
 
 
 class CollisionSingularity(HarmoniaError):
-    """A singular potential was evaluated at (or below) zero separation."""
+    """A singular potential was evaluated at (or below) zero separation.
+
+    ``pair`` holds the 1-based body numbers (i, j) of the colliding pair and
+    ``separation`` their distance.
+    """
+
+    def __init__(self, message: str, pair: tuple, separation: float):
+        self.pair = pair
+        self.separation = separation
+        super().__init__(message)
 
 
 class NonFiniteState(HarmoniaError):
-    """Integration produced NaN or infinite coordinates."""
+    """Integration produced NaN or infinite coordinates.
+
+    ``step`` is the first retained step found non-finite and ``t`` its time.
+    """
+
+    def __init__(self, message: str, step: int, t: float):
+        self.step = step
+        self.t = t
+        super().__init__(message)
 
 
 class DegenerateGradient(HarmoniaError):

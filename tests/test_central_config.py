@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonia import (
+    CollisionSingularity,
     DegenerateGradient,
     MassVector,
     NoConvergence,
@@ -74,6 +75,39 @@ def test_newtonian_equilateral_is_central():
     for scale in (1.0, 1e5, 1e8, 1e60, 1e70, 1e80, 1e82, 1e90, 1e100):
         report = cc_residual(equilateral().q * scale, M3, NEWTONIAN)
         assert report.residual <= 1e-15
+
+
+@pytest.mark.parametrize("potential", [NEWTONIAN, PotentialSpec.power(-2.0, 1.0)],
+                         ids=["newtonian", "power-2"])
+@pytest.mark.parametrize("scale", [1e-13, 1e-20, 1e-50])
+def test_singular_lagrange_triangle_is_central_below_the_collision_threshold(potential, scale):
+    # every pair lies closer than COLLISION_EPS, which the CC path scales by the largest
+    # separation; grad U ~ scale^(alpha - 1) overflows only from about 1e-77 down
+    unit = cc_residual(equilateral().q, M3, potential)
+    report = cc_residual(equilateral().q * scale, M3, potential)
+    assert report.is_cc and report.residual <= 1e-15 * scale
+    alpha = -1.0 if potential.kind == "newtonian" else potential.exponent
+    assert report.omega_squared == pytest.approx(unit.omega_squared * scale ** (2.0 - alpha),
+                                                 rel=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_cc_collision_is_relative_to_the_largest_separation(scale):
+    # bodies 2 and 3 lie 1e-13 of the configuration's size apart at every scale
+    q = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-13]]) * scale
+    for potential in (NEWTONIAN, PotentialSpec.power(-2.0, 1.0)):
+        with pytest.raises(CollisionSingularity) as err:
+            cc_residual(q, M3, potential)
+        assert err.value.pair == (2, 3)
+        assert err.value.separation == pytest.approx(1e-13 * scale, rel=1e-12)
+        assert str(err.value) == f"bodies 2 and 3 separated by {err.value.separation:.3e}"
+
+
+def test_cc_collision_holds_where_every_distance_underflows():
+    # at 1e-200 every squared offset underflows, so each distance rounds to 0
+    with pytest.raises(CollisionSingularity) as err:
+        cc_residual(equilateral().q * 1e-200, M3, NEWTONIAN)
+    assert (err.value.pair, err.value.separation) == ((1, 2), 0.0)
 
 
 def test_omega_squared_beyond_the_double_range_is_a_gradient_overflow():

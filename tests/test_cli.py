@@ -479,6 +479,24 @@ def test_cc_check_reports_gradient_overflow(tmp_path, capsys, kind, scale):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-50])
+def test_cc_check_certifies_the_lagrange_triangle_at_small_scales(tmp_path, capsys, scale):
+    # every pair lies closer than the collision threshold 1e-12, which cc-check scales
+    # by the configuration's largest separation
+    doc = {"masses": [1.0, 1.0, 1.0],
+           "positions": [[0.0, 0.0], [scale, 0.0], [0.5 * scale, 0.8660254037844386 * scale]],
+           "potential": {"kind": "newtonian"}}
+    path = tmp_path / "small.json"
+    path.write_text(scenario_text(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["cc-check", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "is_cc = true" in captured.out.splitlines()
+    assert captured.err == ""
+
+
 def test_cc_check_reports_pair_force_overflow(tmp_path, capsys):
     # r^3 overflows while r does not: every Newtonian pair force would round to 0
     scale = 1e150

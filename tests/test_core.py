@@ -1,6 +1,7 @@
 """Invariants, potentials, and gradients of the core module."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from harmonia import (
 from harmonia.core import (
     _centering_hessian,
     _cm_offsets,
+    _gradient_rows,
     _hessian_rows,
     _inertia,
     _pair_offsets,
@@ -279,8 +281,8 @@ def dense_require_separation(r):
     masked = r + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
     rmin = float(masked.min())
     if rmin < 1e-12:
-        i, j = np.unravel_index(int(masked.argmin()), masked.shape)
-        raise CollisionSingularity(f"bodies {i + 1} and {j + 1} separated by {rmin:.3e}")
+        i, j = (int(k) + 1 for k in np.unravel_index(int(masked.argmin()), masked.shape))
+        raise CollisionSingularity(f"bodies {i} and {j} separated by {rmin:.3e}", (i, j), rmin)
 
 
 def dense_terms(potential, q, mass, gradient):
@@ -384,6 +386,8 @@ def test_collision_names_the_same_pair_as_the_dense_check(q):
             with pytest.raises(CollisionSingularity) as err:
                 kernel(potential, q, masses)
             assert str(err.value) == str(oracle.value)
+            assert (err.value.pair, err.value.separation) \
+                == (oracle.value.pair, oracle.value.separation)
 
 
 def test_distance_tables_are_bit_identical_to_the_dense_form(rng):
@@ -395,6 +399,108 @@ def test_distance_tables_are_bit_identical_to_the_dense_form(rng):
             assert np.array_equal(mutual_distances(config).r, r)
             w = np.outer(masses.m, masses.m)
             assert moment_of_inertia(config, masses) == float((w * r * r).sum() / (2.0 * masses.total))
+
+
+def dense_pair_kernels(potential, q, mass):
+    """grad U and U of a pair kind from dense n x n tables, every element with the pair
+    kernel's IEEE operations in their order. A gradient component adds its row's terms
+    j > i and its column's terms i < j one at a time from +0.0, as ``np.bincount``
+    does (``np.cumsum`` adds in order); U sums the row-major terms i < j, the contiguous
+    vector the kernel reduces."""
+    n = len(q)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    dx = q[:, None, 0] - q[None, :, 0]
+    dy = q[:, None, 1] - q[None, :, 1]
+    r = np.sqrt(dx * dx + dy * dy)
+    w = mass[:, None] * mass[None, :]
+    zero = np.zeros((1, n))
+    grad = np.empty((n, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, masked out
+        if potential.kind == "newtonian":
+            coef = w / (r * r * r)
+            energy = -(w / r)[upper].sum()
+        else:
+            alpha = potential.exponent
+            coef = (potential.coupling * alpha) * w * (r + (r == 0.0)) ** (alpha - 2.0)
+            energy = potential.coupling * (w * r ** alpha)[upper].sum()
+        for c, d in enumerate((dx, dy)):
+            f = np.where(upper, coef * d, 0.0)
+            grad[:, c] = np.cumsum(np.hstack([zero.T, f]), axis=1)[:, -1] \
+                - np.cumsum(np.vstack([zero, f]), axis=0)[-1]
+    return grad, energy
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))  # the sign of every zero
+
+
+# exponents whose powers numpy computes by its fast paths (rr^-1, rr^0.5, rr^2, r^-1,
+# r^0.5), with couplings that are not powers of two, so that a * alpha rounds
+BIT_ORACLE_POTENTIALS = SINGULAR_AND_POWER + [
+    PotentialSpec.power(1.0, 0.3), PotentialSpec.power(2.5, 1.7), PotentialSpec.power(4.0, 0.7),
+    PotentialSpec.power(-1.0, 1.3), PotentialSpec.power(0.5, 2.9), PotentialSpec.power(-2.5, 0.9)]
+
+
+def bit_oracle_configurations(rng, n):
+    """A general configuration, a collinear one (every y is +0.0 or -0.0), one with
+    -0.0 coordinates, and one with a coincident pair, which only nonsingular kinds take."""
+    general = rng.uniform(-1.0, 1.0, (n, 2))
+    collinear = np.column_stack([rng.uniform(-1.0, 1.0, n), np.zeros(n)])
+    collinear[::2, 1] = -0.0
+    signed_zeros = general.copy()
+    signed_zeros[::3, 0] = -0.0
+    signed_zeros[1::3, 1] = -0.0
+    coincident = general.copy()
+    coincident[-1] = coincident[0]
+    return {"general": general, "collinear": collinear, "signed-zeros": signed_zeros,
+            "coincident": coincident}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 30, 300])
+def test_pair_kernels_are_bit_identical_to_the_dense_form(rng, n):
+    mass = rng.uniform(0.1, 10.0, n)
+    for name, q in bit_oracle_configurations(rng, n).items():
+        for potential in BIT_ORACLE_POTENTIALS:
+            if name == "coincident" and potential.singular:
+                continue
+            grad, energy = dense_pair_kernels(potential, q, mass)
+            assert_same_bits(_gradient_rows(potential, q, mass), grad)
+            assert_same_bits(_potential(potential, q, mass), energy)
+        if name != "coincident":  # harmonic U = (M/2) I, from the dense I
+            r = dense_displacements(q)[1]
+            total = float(mass.sum())
+            inertia = float((np.outer(mass, mass) * r * r).sum() / (2.0 * total))
+            assert_same_bits(_potential(HARMONIC, q, mass), 0.5 * total * inertia)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes numpy and Python hold during ``call``, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_build_each_table_in_place(rng):
+    # one buffer per table: a dense n x n kernel holds 2 tables at its peak (the
+    # distances and dy, or the distances and the terms), where it once held 4; the
+    # pair kernels hold at most what they did (6.03 and 5.00 P-vectors for a gradient
+    # and an energy), now 5 and 4
+    n = 300
+    q = rng.uniform(-1.0, 1.0, (n, 2))
+    mass = rng.uniform(0.1, 10.0, n)
+    table, vector = 8 * n * n, 8 * (n * (n - 1) // 2)
+    for call in (lambda: _inertia(q, mass), lambda: _inertia(q[None], mass),
+                 lambda: mutual_distances(q)):
+        assert traced_peak(call) <= 2.5 * table
+    for potential in SINGULAR_AND_POWER:
+        assert traced_peak(lambda: _gradient_rows(potential, q, mass)) <= 6.03 * vector
+        assert traced_peak(lambda: _potential(potential, q, mass)) <= 5.0 * vector
 
 
 # -- pair offsets over a stack of configurations -------------------------------

@@ -252,8 +252,20 @@ def test_nonfinite_state_detected():
     spec = PotentialSpec.power(9.0, 100.0)
     # finiteness is tested on retained samples (every 10th step): the first one
     # at or after the blow-up is named
-    with pytest.raises(NonFiniteState, match=r"step 10 \(t=5\)"):
+    with pytest.raises(NonFiniteState, match=r"step 10 \(t=5\)") as err:
         integrate(state, IntegratorSpec("rk4", 0.5, 400.0), spec, masses)
+    assert (err.value.step, err.value.t) == (10, 5.0)
+    assert type(err.value.step) is int and type(err.value.t) is float
+
+
+def test_integrator_keeps_the_absolute_collision_threshold():
+    # the CC path scales COLLISION_EPS by the configuration's size; the integrator does not
+    state = PhaseState(equilateral().q * 1e-13, np.zeros((3, 2)))
+    with pytest.raises(CollisionSingularity) as err:
+        integrate(state, IntegratorSpec("velocity_verlet", 0.1, 0.1), PotentialSpec.newtonian(),
+                  MassVector(np.ones(3)))
+    assert str(err.value) == "bodies 1 and 2 separated by 1.000e-13"
+    assert err.value.pair == (1, 2) and err.value.separation == pytest.approx(1e-13, rel=1e-15)
 
 
 @pytest.mark.parametrize("method, calls", [("velocity_verlet", 15 + 1), ("rk4", 4 * 15)])
