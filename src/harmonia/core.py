@@ -204,12 +204,36 @@ def _pair_indices(n: int):
     return np.triu_indices(n, 1)
 
 
+@lru_cache(maxsize=8)
+def _scatter_pairs(n: int):
+    """The (i, j) index arrays of the pairs i < j in anti-diagonal order, by i + j and
+    then by i, built one anti-diagonal at a time; shared and writeable as
+    ``_pair_indices``. Each body meets its i-terms in ascending j and its j-terms in
+    ascending i, as in row-major order, so a ``np.bincount`` over either order adds the
+    same terms in the same order. Two neighbours within an anti-diagonal share no i and
+    no j, so neither scatter waits on its previous add. Neighbours share one only among
+    the first 3 and the last 5 pairs; the first 3, (0, 1), (0, 2), (0, 3) or (1, 2),
+    follow each other in any order that keeps each body's terms in turn."""
+    i = np.empty(n * (n - 1) // 2, dtype=np.intp)
+    j = np.empty_like(i)
+    k = 0
+    for s in range(1, 2 * n - 2):
+        lo, hi = max(0, s - n + 1), (s - 1) // 2
+        end = k + hi - lo + 1
+        i[k:end] = np.arange(lo, hi + 1)
+        np.subtract(s, i[k:end], out=j[k:end])
+        k = end
+    return i, j
+
+
 def _pair_offsets(q: np.ndarray):
     """One pass over the pairs i < j: indices, x and y offsets q_i - q_j, and r_ij.
 
     ``q`` holds positions of shape (..., n, 2), one configuration or a
     stack of them; the offsets and distances have shape (..., P), with the
-    P pairs in the row-major order of ``_pair_indices``.
+    P pairs in the row-major order of ``_pair_indices``. The offsets are
+    strided views of one (..., P, 2) buffer. The gradient takes its own
+    offsets, contiguous and in ``_scatter_pairs`` order (``_gradient_rows``).
     """
     i, j = _pair_indices(q.shape[-2])
     d = q.take(i, axis=-2)
@@ -218,6 +242,18 @@ def _pair_offsets(q: np.ndarray):
     r = dx * dx
     r += dy * dy
     return i, j, dx, dy, np.sqrt(r, out=r)
+
+
+def _may_collide(potential: PotentialSpec, r: np.ndarray, relative: bool) -> bool:
+    """Whether some configuration of the distances ``r`` (..., P), in any pair order, may
+    hold a collision or a NaN, which ``_pair_separations`` tells apart.
+
+    argmin finds the closest pair of all, or the first NaN; a NaN hides the pairs
+    of its own configuration only, as in a call per configuration. The largest
+    separation of the stack bounds the relative threshold of each configuration.
+    """
+    return potential.singular and not r.item(r.argmin()) >= (
+        max(COLLISION_EPS * r.max(), _LEAST_SEPARATION) if relative else COLLISION_EPS)
 
 
 def _pair_separations(potential: PotentialSpec, q: np.ndarray, relative: bool = False):
@@ -230,11 +266,7 @@ def _pair_separations(potential: PotentialSpec, q: np.ndarray, relative: bool = 
     order, as a call per configuration in stack order would.
     """
     i, j, dx, dy, r = _pair_offsets(q)
-    # argmin finds the closest pair of all, or the first NaN; a NaN hides the pairs
-    # of its own configuration only, as in a call per configuration. The largest
-    # separation of the stack bounds the relative threshold of each configuration.
-    if potential.singular and not r.item(r.argmin()) >= (
-            max(COLLISION_EPS * r.max(), _LEAST_SEPARATION) if relative else COLLISION_EPS):
+    if _may_collide(potential, r, relative):
         rows = r.reshape(-1, r.shape[-1])
         eps = np.maximum(COLLISION_EPS * rows.max(axis=-1), _LEAST_SEPARATION) if relative \
             else COLLISION_EPS
@@ -339,18 +371,58 @@ def _pair_coefficients(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray
     return i, j, dx, dy, r, alpha, np.multiply(w, r ** (alpha - 2.0), out=w)
 
 
+def _pair_weights(potential: PotentialSpec, mass: np.ndarray) -> np.ndarray:
+    """The weights w = m_i m_j (Newtonian) or m_i m_j (a alpha) (power) of a pair kind's
+    gradient, in ``_scatter_pairs`` order: c = w / r^3 or w r^(alpha - 2) per pair."""
+    i, j = _scatter_pairs(mass.size)
+    w = mass.take(i)
+    w *= mass.take(j)
+    if potential.kind == POWER:
+        w *= potential.coupling * potential.exponent
+    return w
+
+
 def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray,
-                   relative: bool = False) -> np.ndarray:
-    """grad U, (n, 2); ``relative`` selects ``_pair_separations``' collision threshold."""
+                   weights: np.ndarray | None = None, relative: bool = False) -> np.ndarray:
+    """grad U, (n, 2); ``relative`` selects ``_pair_separations``' collision threshold.
+
+    A pair kind sums the forces c (q_i - q_j) of ``_pair_coefficients`` over the pairs
+    in ``_scatter_pairs`` order, with the pair ``weights`` of ``_pair_weights`` (formed
+    here when None), so that no ``np.bincount`` waits on its previous add. Each body
+    still adds its terms in row-major order, so grad U is bit for bit that of row-major
+    sums. The x and y offsets are taken apart, contiguous; at its peak the kernel holds
+    4 pair vectors besides the weights. A collision is named by ``_pair_separations``,
+    in row-major order.
+    """
     if potential.kind == HARMONIC:
         return float(mass.sum()) * _mass_weighted_offsets(q, mass)
-    i, j, dx, dy, _, _, coef = _pair_coefficients(potential, q, mass, relative)
     n = q.shape[0]
-    fx = coef * dx
-    fy = np.multiply(coef, dy, out=coef)
+    i, j = _scatter_pairs(n)
+    dx = q[:, 0].take(i)
+    np.subtract(dx, q[:, 0].take(j), out=dx)
+    dy = q[:, 1].take(i)
+    np.subtract(dy, q[:, 1].take(j), out=dy)
+    r = dx * dx
+    r += dy * dy
+    np.sqrt(r, out=r)
+    if _may_collide(potential, r, relative):
+        _pair_separations(potential, q, relative)
+    if weights is None:
+        weights = _pair_weights(potential, mass)
+    if potential.kind == NEWTONIAN:
+        coef = r * r  # r^3, then the coefficient
+        coef *= r
+        np.divide(weights, coef, out=coef)
+    else:
+        # coincident pairs pass through, as in _pair_coefficients
+        r += r == 0.0
+        r **= potential.exponent - 2.0
+        coef = np.multiply(weights, r, out=r)
+    np.multiply(coef, dx, out=dx)
+    np.multiply(coef, dy, out=dy)
     grad = np.empty((n, 2))
-    np.subtract(np.bincount(i, fx, n), np.bincount(j, fx, n), out=grad[:, 0])
-    np.subtract(np.bincount(i, fy, n), np.bincount(j, fy, n), out=grad[:, 1])
+    np.subtract(np.bincount(i, dx, n), np.bincount(j, dx, n), out=grad[:, 0])
+    np.subtract(np.bincount(i, dy, n), np.bincount(j, dy, n), out=grad[:, 1])
     return grad
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded corpus generators and the finite-difference oracle."""
+"""Shared fixtures: seeded corpus generators, the finite-difference oracle and the
+dense-form pair oracle."""
 
 import numpy as np
 import pytest
@@ -55,3 +56,33 @@ def unit_masses(n):
 def equilateral(side=1.0):
     return PlanarConfiguration(
         np.array([[0.0, 0.0], [side, 0.0], [0.5 * side, side * np.sqrt(3.0) / 2.0]]))
+
+
+def dense_pair_kernels(potential, q, mass):
+    """grad U and U of a pair kind from dense n x n tables, every element with the pair
+    kernel's IEEE operations in their order. A gradient component adds its row's terms
+    j > i and its column's terms i < j one at a time from +0.0, as ``np.bincount``
+    does over the row-major or the anti-diagonal pair order (``np.cumsum`` adds in
+    order); U sums the row-major terms i < j, the contiguous
+    vector the kernel reduces."""
+    n = len(q)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    dx = q[:, None, 0] - q[None, :, 0]
+    dy = q[:, None, 1] - q[None, :, 1]
+    r = np.sqrt(dx * dx + dy * dy)
+    w = mass[:, None] * mass[None, :]
+    zero = np.zeros((1, n))
+    grad = np.empty((n, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, masked out
+        if potential.kind == "newtonian":
+            coef = w / (r * r * r)
+            energy = -(w / r)[upper].sum()
+        else:
+            alpha = potential.exponent
+            coef = (potential.coupling * alpha) * w * (r + (r == 0.0)) ** (alpha - 2.0)
+            energy = potential.coupling * (w * r ** alpha)[upper].sum()
+        for c, d in enumerate((dx, dy)):
+            f = np.where(upper, coef * d, 0.0)
+            grad[:, c] = np.cumsum(np.hstack([zero.T, f]), axis=1)[:, -1] \
+                - np.cumsum(np.vstack([zero, f]), axis=0)[-1]
+    return grad, energy

@@ -36,12 +36,15 @@ from harmonia.core import (
     _gradient_rows,
     _hessian_rows,
     _inertia,
+    _pair_indices,
     _pair_offsets,
     _pair_separations,
+    _pair_weights,
     _potential,
     _require_bodies,
+    _scatter_pairs,
 )
-from conftest import central_difference_gradient
+from conftest import central_difference_gradient, dense_pair_kernels
 
 TRIANGLE = PlanarConfiguration([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
 RHOMBUS = PlanarConfiguration([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]])
@@ -401,35 +404,6 @@ def test_distance_tables_are_bit_identical_to_the_dense_form(rng):
             assert moment_of_inertia(config, masses) == float((w * r * r).sum() / (2.0 * masses.total))
 
 
-def dense_pair_kernels(potential, q, mass):
-    """grad U and U of a pair kind from dense n x n tables, every element with the pair
-    kernel's IEEE operations in their order. A gradient component adds its row's terms
-    j > i and its column's terms i < j one at a time from +0.0, as ``np.bincount``
-    does (``np.cumsum`` adds in order); U sums the row-major terms i < j, the contiguous
-    vector the kernel reduces."""
-    n = len(q)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    dx = q[:, None, 0] - q[None, :, 0]
-    dy = q[:, None, 1] - q[None, :, 1]
-    r = np.sqrt(dx * dx + dy * dy)
-    w = mass[:, None] * mass[None, :]
-    zero = np.zeros((1, n))
-    grad = np.empty((n, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, masked out
-        if potential.kind == "newtonian":
-            coef = w / (r * r * r)
-            energy = -(w / r)[upper].sum()
-        else:
-            alpha = potential.exponent
-            coef = (potential.coupling * alpha) * w * (r + (r == 0.0)) ** (alpha - 2.0)
-            energy = potential.coupling * (w * r ** alpha)[upper].sum()
-        for c, d in enumerate((dx, dy)):
-            f = np.where(upper, coef * d, 0.0)
-            grad[:, c] = np.cumsum(np.hstack([zero.T, f]), axis=1)[:, -1] \
-                - np.cumsum(np.vstack([zero, f]), axis=0)[-1]
-    return grad, energy
-
-
 def assert_same_bits(got, expected):
     got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
     assert np.array_equal(got, expected)
@@ -501,6 +475,62 @@ def test_kernels_build_each_table_in_place(rng):
     for potential in SINGULAR_AND_POWER:
         assert traced_peak(lambda: _gradient_rows(potential, q, mass)) <= 6.03 * vector
         assert traced_peak(lambda: _potential(potential, q, mass)) <= 5.0 * vector
+
+
+# -- the gradient's anti-diagonal pair order -----------------------------------
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.one_of(st.integers(2, 64), st.just(300)))
+def test_scatter_order_keeps_each_bodys_terms_in_turn(n):
+    i, j = _scatter_pairs(n)
+    row_i, row_j = np.triu_indices(n, 1)
+    # by i + j, then by i: a permutation of the row-major pairs
+    order = np.lexsort((row_i, row_i + row_j))
+    assert np.array_equal(i, row_i[order]) and np.array_equal(j, row_j[order])
+    # a body's i-terms come in ascending j, and its j-terms in ascending i
+    by_i = np.argsort(i, kind="stable")
+    assert np.array_equal(i[by_i], row_i) and np.array_equal(j[by_i], row_j)
+    col_j, col_i = np.tril_indices(n, -1)  # by j, then by i
+    by_j = np.argsort(j, kind="stable")
+    assert np.array_equal(i[by_j], col_i) and np.array_equal(j[by_j], col_j)
+    # neighbours share an i or a j only among the first 3 and the last 5 pairs; any order
+    # that keeps each body's terms in turn starts (0, 1), (0, 2), then (0, 3) or (1, 2)
+    shared = (i[1:] == i[:-1]) | (j[1:] == j[:-1])
+    assert not shared[2:i.size - 5].any()
+    # no kernel writes a cached index pair
+    rng = np.random.default_rng(n)
+    q = rng.uniform(-1.0, 1.0, (n, 2))
+    mass = rng.uniform(0.1, 10.0, n)
+    for potential in (NEWTONIAN, PotentialSpec.power(-1.5, 2.0), PotentialSpec.power(3.0, 0.5)):
+        _gradient_rows(potential, q, mass)
+        _gradient_rows(potential, q, mass, _pair_weights(potential, mass), relative=True)
+        _potential(potential, q, mass)
+        if n <= 64:
+            _hessian_rows(potential, q, mass)
+    _pair_offsets(q[None])
+    for cached, fresh in ((_pair_indices(n), (row_i, row_j)),
+                          (_scatter_pairs(n), (row_i[order], row_j[order]))):
+        assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+
+
+# bodies 1 and 5, and 2 and 3, are 1e-13 apart; the anti-diagonal order meets (2, 3) first
+TIED_PAIRS = np.array([[0.0, 0.0], [0.0, 5.0], [1e-13, 5.0], [3.0, 3.0], [1e-13, 0.0]])
+
+
+def test_collision_is_named_in_row_major_order_on_a_tie():
+    masses = MassVector(np.ones(5))
+    for potential in (NEWTONIAN, PotentialSpec.power(-2.0, 1.0)):
+        for check in (lambda: cc_residual(TIED_PAIRS, masses, potential),
+                      lambda: _gradient_rows(potential, TIED_PAIRS, masses.m)):
+            with pytest.raises(CollisionSingularity) as err:
+                check()
+            assert str(err.value) == "bodies 1 and 5 separated by 1.000e-13"
+            assert err.value.pair == (1, 5) and err.value.separation == 1e-13
+        # a NaN hides the collisions of its configuration, as in row-major order
+        q = TIED_PAIRS.copy()
+        q[3, 1] = math.nan
+        for relative in (False, True):
+            assert np.isnan(_gradient_rows(potential, q, masses.m, relative=relative)).any()
 
 
 # -- pair offsets over a stack of configurations -------------------------------
