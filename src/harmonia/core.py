@@ -226,16 +226,16 @@ def _scatter_pairs(n: int):
     return i, j
 
 
-def _pair_offsets(q: np.ndarray):
+def _pair_offsets(q: np.ndarray, pairs=_pair_indices):
     """One pass over the pairs i < j: indices, x and y offsets q_i - q_j, and r_ij.
 
     ``q`` holds positions of shape (..., n, 2), one configuration or a
     stack of them; the offsets and distances have shape (..., P), with the
-    P pairs in the row-major order of ``_pair_indices``. The offsets are
-    strided views of one (..., P, 2) buffer. The gradient takes its own
-    offsets, contiguous and in ``_scatter_pairs`` order (``_gradient_rows``).
+    P pairs in the order of ``pairs``: row-major, or the ``_scatter_pairs``
+    of the gradient and the Hessian. The offsets are strided views of one
+    (..., P, 2) buffer.
     """
-    i, j = _pair_indices(q.shape[-2])
+    i, j = pairs(q.shape[-2])
     d = q.take(i, axis=-2)
     np.subtract(d, q.take(j, axis=-2), out=d)
     dx, dy = d[..., 0], d[..., 1]
@@ -355,11 +355,15 @@ def _potential(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray):
 
 def _pair_coefficients(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray,
                        relative: bool = False):
-    """i, j, dx, dy of ``_pair_separations``, the distances rr, the exponent alpha and the
-    coefficient c = a alpha m_i m_j rr^(alpha - 2) (alpha = -1, a = 1 Newtonian) of the
-    pairs i < j of one configuration: each adds c (q_i - q_j) to grad U at body i and
-    takes it from body j. c is built in the buffer of m_i m_j, rr in that of r."""
-    i, j, dx, dy, r = _pair_separations(potential, q, relative)
+    """i, j, dx, dy of ``_pair_offsets`` in ``_scatter_pairs`` order, the distances rr, the
+    exponent alpha and the coefficient c = a alpha m_i m_j rr^(alpha - 2) (alpha = -1,
+    a = 1 Newtonian) of the pairs i < j of one configuration: each adds c (q_i - q_j) to
+    grad U at body i and takes it from body j. c is built in the buffer of m_i m_j, rr in
+    that of r. A collision is named by ``_pair_separations``, in row-major order;
+    ``relative`` selects its threshold."""
+    i, j, dx, dy, r = _pair_offsets(q, _scatter_pairs)
+    if _may_collide(potential, r, relative):
+        _pair_separations(potential, q, relative)
     w = mass[i] * mass[j]
     if potential.kind == NEWTONIAN:
         return i, j, dx, dy, r, -1.0, np.divide(w, r * r * r, out=w)
@@ -371,58 +375,23 @@ def _pair_coefficients(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray
     return i, j, dx, dy, r, alpha, np.multiply(w, r ** (alpha - 2.0), out=w)
 
 
-def _pair_weights(potential: PotentialSpec, mass: np.ndarray) -> np.ndarray:
-    """The weights w = m_i m_j (Newtonian) or m_i m_j (a alpha) (power) of a pair kind's
-    gradient, in ``_scatter_pairs`` order: c = w / r^3 or w r^(alpha - 2) per pair."""
-    i, j = _scatter_pairs(mass.size)
-    w = mass.take(i)
-    w *= mass.take(j)
-    if potential.kind == POWER:
-        w *= potential.coupling * potential.exponent
-    return w
-
-
 def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray,
-                   weights: np.ndarray | None = None, relative: bool = False) -> np.ndarray:
+                   relative: bool = False) -> np.ndarray:
     """grad U, (n, 2); ``relative`` selects ``_pair_separations``' collision threshold.
 
-    A pair kind sums the forces c (q_i - q_j) of ``_pair_coefficients`` over the pairs
-    in ``_scatter_pairs`` order, with the pair ``weights`` of ``_pair_weights`` (formed
-    here when None), so that no ``np.bincount`` waits on its previous add. Each body
-    still adds its terms in row-major order, so grad U is bit for bit that of row-major
-    sums. The x and y offsets are taken apart, contiguous; at its peak the kernel holds
-    4 pair vectors besides the weights. A collision is named by ``_pair_separations``,
-    in row-major order.
+    A pair kind sums its forces over the pairs in ``_scatter_pairs`` order, so that no
+    ``np.bincount`` waits on its previous add. Each body still adds its terms in
+    row-major order, so grad U is bit for bit that of row-major sums.
     """
     if potential.kind == HARMONIC:
         return float(mass.sum()) * _mass_weighted_offsets(q, mass)
+    i, j, dx, dy, _, _, coef = _pair_coefficients(potential, q, mass, relative)
     n = q.shape[0]
-    i, j = _scatter_pairs(n)
-    dx = q[:, 0].take(i)
-    np.subtract(dx, q[:, 0].take(j), out=dx)
-    dy = q[:, 1].take(i)
-    np.subtract(dy, q[:, 1].take(j), out=dy)
-    r = dx * dx
-    r += dy * dy
-    np.sqrt(r, out=r)
-    if _may_collide(potential, r, relative):
-        _pair_separations(potential, q, relative)
-    if weights is None:
-        weights = _pair_weights(potential, mass)
-    if potential.kind == NEWTONIAN:
-        coef = r * r  # r^3, then the coefficient
-        coef *= r
-        np.divide(weights, coef, out=coef)
-    else:
-        # coincident pairs pass through, as in _pair_coefficients
-        r += r == 0.0
-        r **= potential.exponent - 2.0
-        coef = np.multiply(weights, r, out=r)
-    np.multiply(coef, dx, out=dx)
-    np.multiply(coef, dy, out=dy)
+    fx = coef * dx
+    fy = np.multiply(coef, dy, out=coef)
     grad = np.empty((n, 2))
-    np.subtract(np.bincount(i, dx, n), np.bincount(j, dx, n), out=grad[:, 0])
-    np.subtract(np.bincount(i, dy, n), np.bincount(j, dy, n), out=grad[:, 1])
+    np.subtract(np.bincount(i, fx, n), np.bincount(j, fx, n), out=grad[:, 0])
+    np.subtract(np.bincount(i, fy, n), np.bincount(j, fy, n), out=grad[:, 1])
     return grad
 
 
@@ -437,7 +406,8 @@ def _hessian_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> 
 
     Each pair i < j adds the 2x2 block B = c I_2 + (c'/r) d d^T, with
     d = q_i - q_j and c(r) the coefficient of ``_pair_coefficients``, to the
-    diagonal blocks (i, i) and (j, j), and -B to (i, j) and (j, i).
+    diagonal blocks (i, i) and (j, j), and -B to (i, j) and (j, i). Each pair writes
+    its own blocks and the diagonal sums the dense table, so the pair order is moot.
     """
     if potential.kind == HARMONIC:
         return float(mass.sum()) * _centering_hessian(mass)

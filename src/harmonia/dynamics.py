@@ -29,7 +29,6 @@ from .core import (
     _frozen,
     _gradient_rows,
     _inertia,
-    _pair_weights,
     _potential,
     as_mass_vector,
 )
@@ -181,10 +180,9 @@ def _acceleration_function(potential: PotentialSpec, m: MassVector):
         return accel
 
     neg_inv = -(1.0 / mass[:, None])
-    weights = _pair_weights(potential, mass)  # formed once per run
 
     def accel(q: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(neg_inv, _gradient_rows(potential, q, mass, weights), out=out)
+        np.multiply(neg_inv, _gradient_rows(potential, q, mass), out=out)
 
     return accel
 
@@ -245,6 +243,7 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
     if not isinstance(integrator, IntegratorSpec):
         raise ValidationError("integrator", "expected an IntegratorSpec")
 
+    accel = _acceleration_function(potential, m)
     dt = integrator.dt
     n_steps = integrator.n_steps
     stride = integrator.sample_stride
@@ -259,10 +258,10 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
     vs = np.empty_like(qs)
     qs[0], vs[0] = w[:2]
 
-    # overflow on a diverging state, or of the pair weights, is reported through NonFiniteState
+    # overflow on a diverging state is reported through NonFiniteState
     with np.errstate(over="ignore", invalid="ignore"):
         step = (_verlet_stepper if integrator.method == VELOCITY_VERLET else _rk4_stepper)(
-            _acceleration_function(potential, m), w, dt)
+            accel, w, dt)
         for s in range(1, steps.size):
             for _ in range(steps[s] - steps[s - 1]):
                 step()

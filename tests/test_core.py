@@ -39,7 +39,6 @@ from harmonia.core import (
     _pair_indices,
     _pair_offsets,
     _pair_separations,
-    _pair_weights,
     _potential,
     _require_bodies,
     _scatter_pairs,
@@ -449,6 +448,45 @@ def test_pair_kernels_are_bit_identical_to_the_dense_form(rng, n):
             assert_same_bits(_potential(HARMONIC, q, mass), 0.5 * total * inertia)
 
 
+def dense_pair_hessian(potential, q, mass):
+    """The pair Hessian from dense n x n tables: each block -B_ij of i < j with the
+    kernel's IEEE operations, written to (i, j) and (j, i), and each diagonal block minus
+    the sum of its block row."""
+    n = len(q)
+    dx = q[:, None, 0] - q[None, :, 0]
+    dy = q[:, None, 1] - q[None, :, 1]
+    r = np.sqrt(dx * dx + dy * dy)
+    w = mass[:, None] * mass[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, masked out
+        if potential.kind == "newtonian":
+            alpha, coef = -1.0, w / (r * r * r)
+        else:
+            alpha = potential.exponent
+            r = r + (r == 0.0)
+            coef = (potential.coupling * alpha) * w * r ** (alpha - 2.0)
+        coef_over_r = (alpha - 2.0) * coef / (r * r)
+        outer = np.stack([dx * dx, dx * dy, dx * dy, dy * dy], axis=-1).reshape(n, n, 2, 2)
+        block = coef[..., None, None] * np.eye(2) + coef_over_r[..., None, None] * outer
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    hess = np.zeros((n, n, 2, 2))
+    hess[upper] = hess.swapaxes(0, 1)[upper] = -block[upper]
+    hess[np.arange(n), np.arange(n)] = -hess.sum(axis=1)
+    return hess.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 30])
+def test_pair_hessian_is_bit_identical_to_the_dense_form(rng, n):
+    # the kernel writes its blocks in anti-diagonal pair order; each block has its own
+    # cell, so the Hessian is that of any pair order
+    mass = rng.uniform(0.1, 10.0, n)
+    for name, q in bit_oracle_configurations(rng, n).items():
+        for potential in BIT_ORACLE_POTENTIALS:
+            if name == "coincident" and potential.singular:
+                continue
+            assert_same_bits(_hessian_rows(potential, q, mass),
+                             dense_pair_hessian(potential, q, mass))
+
+
 def traced_peak(call) -> int:
     """Peak bytes numpy and Python hold during ``call``, after a warm-up call."""
     call()
@@ -503,7 +541,7 @@ def test_scatter_order_keeps_each_bodys_terms_in_turn(n):
     mass = rng.uniform(0.1, 10.0, n)
     for potential in (NEWTONIAN, PotentialSpec.power(-1.5, 2.0), PotentialSpec.power(3.0, 0.5)):
         _gradient_rows(potential, q, mass)
-        _gradient_rows(potential, q, mass, _pair_weights(potential, mass), relative=True)
+        _gradient_rows(potential, q, mass, relative=True)
         _potential(potential, q, mass)
         if n <= 64:
             _hessian_rows(potential, q, mass)
