@@ -3,7 +3,9 @@
 Two integrators are provided: velocity_verlet (symplectic, time reversible)
 and rk4 (classical fourth order). Both step one (3, n, 2) state (q, v, a) in
 place; rk4 forms each stage's q and v together, with the textbook step's
-operations in its order, so it is bit for bit that step on q and v apart. The
+operations in its order, so it is bit for bit that step on q and v apart. Its
+step constants are 0-d arrays and its stages, products and partial sums go to
+buffers made once per run, so only the force makes temporaries. The
 harmonic equations of motion are linear, so ``harmonic_flow`` solves them
 exactly for any initial state; the rhombus counterexample and the rigidly
 rotating control are two of its solutions. Collisions of the harmonic flow
@@ -173,9 +175,15 @@ class Trajectory:
 def _acceleration_function(potential: PotentialSpec, m: MassVector):
     mass, total = m.m, m.total
     if potential.kind == HARMONIC:
-        # a_i = -M (q_i - q_cm), independent of the body's own mass
+        # a_i = -M (q_i - q_cm), independent of the body's own mass; np.dot reaches the
+        # same BLAS gemv as mass @ q with less dispatch, and M q goes into one buffer
+        # (a ufunc's third argument is its output)
+        total = np.array(total)
+        scaled = np.empty((m.n, 2))
+        dot, multiply, subtract = np.dot, np.multiply, np.subtract
+
         def accel(q: np.ndarray, out: np.ndarray) -> None:
-            np.subtract(mass @ q, total * q, out=out)
+            subtract(dot(mass, q), multiply(total, q, scaled), out)
 
         return accel
 
@@ -207,22 +215,31 @@ def _rk4_stepper(accel, w: np.ndarray, dt: float):
     """Classical Runge-Kutta ``step()`` on ``w`` = (q, v, a), in place, with four
     ``accel`` calls. y = w[:2] = (q, v) has the derivative k1 = w[1:] = (v, a(q));
     each stage forms y + c k in a buffer z = (q_s, v_s, a(q_s)), whose slope is
-    z[1:]. Every element takes the textbook step's IEEE operations in its order
-    and ``mass @ q`` is the one reduction, so each step is bit-identical to it."""
-    half, sixth = 0.5 * dt, dt / 6.0
+    z[1:]. The step constants are 0-d arrays, and every product and partial sum
+    goes into one of two scratch buffers made here, so only ``accel`` allocates.
+    Every element takes the textbook step's IEEE operations in its order and the
+    harmonic gemv is the one reduction, so each step is bit-identical to it."""
+    half, full, sixth, two = (np.array(c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
     q, a, y, k1 = w[0], w[2], w[:2], w[1:]
     (y2, q2, a2, k2), (y3, q3, a3, k3), (y4, q4, a4, k4) = (
         (z[:2], z[0], z[2], z[1:]) for z in np.empty((3, *w.shape)))
+    s, t = np.empty((2, *y.shape))
+    add, multiply = np.add, np.multiply
 
+    # each ufunc's third argument is its output
     def step() -> None:
         accel(q, a)
-        np.add(y, half * k1, out=y2)
+        add(y, multiply(half, k1, s), y2)
         accel(q2, a2)
-        np.add(y, half * k2, out=y3)
+        add(y, multiply(half, k2, s), y3)
         accel(q3, a3)
-        np.add(y, dt * k3, out=y4)
+        add(y, multiply(full, k3, s), y4)
         accel(q4, a4)
-        np.add(y, sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4), out=y)
+        # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
+        add(k1, multiply(two, k2, s), s)
+        add(s, multiply(two, k3, t), s)
+        add(s, k4, s)
+        add(y, multiply(sixth, s, s), y)
 
     return step
 

@@ -1,7 +1,9 @@
 """Integrators, conserved-quantity monitors, and the exact harmonic flow."""
 
+import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +32,13 @@ from harmonia import (
     total_energy,
 )
 from harmonia import dynamics
+from harmonia.cli import load_scenario
 from harmonia.core import HARMONIC as HARMONIC_KIND, _inertia, _potential
 from harmonia.dynamics import _CHUNK_ELEMENTS, MAX_SAMPLES, MAX_STEPS, _check_sample_budget
 from conftest import central_difference_gradient, dense_pair_kernels, equilateral
 
+ROOT = Path(__file__).resolve().parent.parent
+RHOMBUS_RK4_SHA256 = "65d648252c17f10906dfd0387c858dbd1c59f2e1195abd06c5a4036f1fe913b7"
 HARMONIC = PotentialSpec.harmonic()
 M4 = rhombus_masses()
 RHOMBUS = PlanarConfiguration([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]])
@@ -370,9 +375,49 @@ def test_stacked_state_steps_bit_for_bit_as_the_textbook_form(system):
                           PotentialSpec.power(-2.0, 1.0)):
             traj = integrate(state, spec, potential, masses)
             times, q, v = textbook_integrate(state, spec, potential, masses)
-            assert np.array_equal(traj.times, times)
-            assert np.array_equal(traj.q, q)
-            assert np.array_equal(traj.v, v)
+            # bytes, not values, so that -0.0 and +0.0 differ too
+            assert traj.times.tobytes() == times.tobytes()
+            assert traj.q.tobytes() == q.tobytes()
+            assert traj.v.tobytes() == v.tobytes()
+
+
+@st.composite
+def stage_positions(draw):
+    """An (n, 2) position block as the rk4 stepper passes it to the harmonic force, the
+    state's q or one stage's q_s, for n = 2..300 bodies of unit or random masses; some
+    coordinates are signed zeros."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mass = np.ones(n) if draw(st.booleans()) else rng.uniform(0.2, 5.0, n)
+    state = np.empty((3, n, 2))
+    stages = np.empty((3, 3, n, 2))
+    q = state[0] if draw(st.booleans()) else stages[draw(st.integers(0, 2)), 0]
+    q[...] = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-8.0, 8.0) + rng.uniform(-5.0, 5.0, 2)
+    q[rng.random((n, 2)) < 0.2] = -0.0
+    q[rng.random((n, 2)) < 0.1] = 0.0
+    return mass, q
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=stage_positions())
+def test_harmonic_force_dot_rounds_as_matmul(case):
+    # the harmonic force takes sum_j m_j q_j through np.dot; the textbook step, the oracle
+    # above, through mass @ q; the stepper is bit for bit only while the two round alike
+    mass, q = case
+    assert q.flags.c_contiguous
+    assert np.dot(mass, q).tobytes() == (mass @ q).tobytes(), (
+        "np.dot(mass, q) no longer rounds as mass @ q: the harmonic rk4 and Verlet steps "
+        "are no longer bit for bit the textbook step")
+
+
+def test_rhombus_rk4_trajectory_bytes_are_golden():
+    # q and v of all 630 samples of the shipped rhombus; they hash alike under the SkylakeX,
+    # Haswell and Prescott OpenBLAS kernels, which the CSV's energy column does not
+    scenario = load_scenario(ROOT / "scenarios" / "theorem2_rhombus.json")
+    traj = integrate(scenario.state, scenario.integrator, scenario.potential, scenario.masses)
+    assert len(traj) == 630
+    assert hashlib.sha256(traj.q.tobytes() + traj.v.tobytes()).hexdigest() == \
+        RHOMBUS_RK4_SHA256
 
 
 def test_energy_drift_on_exact_trajectory():
