@@ -146,7 +146,7 @@ def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol:
             if not math.isfinite(ni + nu):
                 nu = nu if math.isfinite(nu) else math.inf  # NaN when grad U overflowed
                 raise ValidationError("q", overflow.format(ni, nu))
-            if gu_sq[s] == 0.0 or (rows[s] == rows[s, 0]).all():
+            if gu_sq[s] == 0.0 or total_collision:
                 raise DegenerateGradient(f"|grad U| = {nu:.3e} is degenerate")
             nu = math.ldexp(math.sqrt(gu_sq[s]), int(e[s, 1]))
             raise ValidationError("q", overflow.format(ni, nu))
@@ -240,13 +240,16 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
     ``cc_residual`` of the configuration it returns. NoConvergence carries
     the steps taken and that residual, and names the rounding floor at
     q_cm when the stalled iterate is central only in the q_cm frame.
-    Raises ValidationError on ``q`` when the start's inertia overflows,
-    and on ``k`` when q_cm is so large that a configuration of inertia k
-    cannot be told apart from its rounding.
+    Raises ValidationError on ``max_iter`` unless it is a non-negative
+    integer, on ``q`` when the start's inertia overflows, and on ``k`` when
+    q_cm is so large that a configuration of inertia k cannot be told apart
+    from its rounding.
     """
     config0, m = _bodies(config0, m)
     if not np.isfinite(k) or k <= 0.0:
         raise ValidationError("k", "must be positive")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValidationError("max_iter", "must be a non-negative integer")
     with np.errstate(over="ignore"):
         inertia = _inertia(config0.q, m.m)
     if not math.isfinite(inertia):

@@ -206,24 +206,17 @@ def _pair_indices(n: int):
 
 @lru_cache(maxsize=8)
 def _scatter_pairs(n: int):
-    """The (i, j) index arrays of the pairs i < j in anti-diagonal order, by i + j and
-    then by i, built one anti-diagonal at a time; shared and writeable as
-    ``_pair_indices``. Each body meets its i-terms in ascending j and its j-terms in
+    """The (i, j) index arrays of the pairs i < j in anti-diagonal order, the row-major
+    pairs sorted by i + j and then by i; shared and writeable as ``_pair_indices``, of
+    which they are a copy. Each body meets its i-terms in ascending j and its j-terms in
     ascending i, as in row-major order, so a ``np.bincount`` over either order adds the
     same terms in the same order. Two neighbours within an anti-diagonal share no i and
     no j, so neither scatter waits on its previous add. Neighbours share one only among
     the first 3 and the last 5 pairs; the first 3, (0, 1), (0, 2), (0, 3) or (1, 2),
     follow each other in any order that keeps each body's terms in turn."""
-    i = np.empty(n * (n - 1) // 2, dtype=np.intp)
-    j = np.empty_like(i)
-    k = 0
-    for s in range(1, 2 * n - 2):
-        lo, hi = max(0, s - n + 1), (s - 1) // 2
-        end = k + hi - lo + 1
-        i[k:end] = np.arange(lo, hi + 1)
-        np.subtract(s, i[k:end], out=j[k:end])
-        k = end
-    return i, j
+    i, j = _pair_indices(n)
+    order = np.lexsort((i, i + j))
+    return i[order], j[order]
 
 
 def _pair_offsets(q: np.ndarray, pairs=_pair_indices):
@@ -244,36 +237,31 @@ def _pair_offsets(q: np.ndarray, pairs=_pair_indices):
     return i, j, dx, dy, np.sqrt(r, out=r)
 
 
-def _may_collide(potential: PotentialSpec, r: np.ndarray, relative: bool) -> bool:
-    """Whether some configuration of the distances ``r`` (..., P), in any pair order, may
-    hold a collision or a NaN, which ``_pair_separations`` tells apart.
-
-    argmin finds the closest pair of all, or the first NaN; a NaN hides the pairs
-    of its own configuration only, as in a call per configuration. The largest
-    separation of the stack bounds the relative threshold of each configuration.
-    """
-    return potential.singular and not r.item(r.argmin()) >= (
-        max(COLLISION_EPS * r.max(), _LEAST_SEPARATION) if relative else COLLISION_EPS)
-
-
-def _pair_separations(potential: PotentialSpec, q: np.ndarray, relative: bool = False):
+def _pair_separations(potential: PotentialSpec, q: np.ndarray, relative: bool = False,
+                      pairs=_pair_indices):
     """``_pair_offsets`` of one configuration or a stack, checked for collisions.
 
     Raises CollisionSingularity when a singular potential sees a separation
     below COLLISION_EPS or, if ``relative``, below COLLISION_EPS times the
     largest separation of its configuration, or at 0. It names the first such
-    configuration of a stack and, in it, the first closest pair in row-major
-    order, as a call per configuration in stack order would.
+    configuration of a stack and, in it, the closest pair that comes first in
+    row-major order (the least i n + j of a tie), whatever the order of
+    ``pairs``, as a call per configuration in stack order would. One argmin
+    finds the closest pair of all, or the first NaN, which hides only its own
+    configuration; the largest separation of a stack bounds each
+    configuration's relative threshold.
     """
-    i, j, dx, dy, r = _pair_offsets(q)
-    if _may_collide(potential, r, relative):
+    i, j, dx, dy, r = _pair_offsets(q, pairs)
+    if potential.singular and not r.item(r.argmin()) >= (
+            max(COLLISION_EPS * r.max(), _LEAST_SEPARATION) if relative else COLLISION_EPS):
         rows = r.reshape(-1, r.shape[-1])
         eps = np.maximum(COLLISION_EPS * rows.max(axis=-1), _LEAST_SEPARATION) if relative \
             else COLLISION_EPS
         hit = np.flatnonzero(rows.min(axis=-1) < eps)
         if hit.size:
             row = rows[hit[0]]
-            k = int(row.argmin())
+            tied = np.flatnonzero(row == row.min())
+            k = tied[(i[tied] * q.shape[-2] + j[tied]).argmin()]
             pair, separation = (int(i[k]) + 1, int(j[k]) + 1), float(row[k])
             raise CollisionSingularity(
                 f"bodies {pair[0]} and {pair[1]} separated by {separation:.3e}", pair, separation)
@@ -359,11 +347,9 @@ def _pair_coefficients(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray
     exponent alpha and the coefficient c = a alpha m_i m_j rr^(alpha - 2) (alpha = -1,
     a = 1 Newtonian) of the pairs i < j of one configuration: each adds c (q_i - q_j) to
     grad U at body i and takes it from body j. c is built in the buffer of m_i m_j, rr in
-    that of r. A collision is named by ``_pair_separations``, in row-major order;
-    ``relative`` selects its threshold."""
-    i, j, dx, dy, r = _pair_offsets(q, _scatter_pairs)
-    if _may_collide(potential, r, relative):
-        _pair_separations(potential, q, relative)
+    that of r. ``_pair_separations`` checks them, in that order, for a collision, which it
+    names as in row-major order; ``relative`` selects its threshold."""
+    i, j, dx, dy, r = _pair_separations(potential, q, relative, _scatter_pairs)
     w = mass[i] * mass[j]
     if potential.kind == NEWTONIAN:
         return i, j, dx, dy, r, -1.0, np.divide(w, r * r * r, out=w)

@@ -73,7 +73,7 @@ class IntegratorSpec:
             raise ValidationError("dt", "step size must be positive")
         if not np.isfinite(self.t_end) or self.t_end < self.dt:
             raise ValidationError("t_end", "must cover at least one step")
-        if int(self.sample_stride) != self.sample_stride or self.sample_stride < 1:
+        if not 1 <= self.sample_stride < math.inf or int(self.sample_stride) != self.sample_stride:
             raise ValidationError("sample_stride", "must be a positive integer")
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "t_end", float(self.t_end))

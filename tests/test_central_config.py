@@ -247,6 +247,13 @@ def test_refine_from_collision_is_degenerate():
         refine_cc([[0.0, 0.0]] * 3, M3, HARMONIC, 1.0)
 
 
+@pytest.mark.parametrize("max_iter", [-1, 2.5])
+def test_refine_refuses_a_bad_step_budget(max_iter):
+    with pytest.raises(ValidationError) as err:
+        refine_cc([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], M3, NEWTONIAN, 1.0, max_iter=max_iter)
+    assert (err.value.field, err.value.reason) == ("max_iter", "must be a non-negative integer")
+
+
 def test_refine_reports_no_convergence(rng):
     target = equilateral()
     k = moment_of_inertia(target, M3)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonia import (
@@ -30,6 +30,7 @@ from harmonia import (
     rotation,
     total_energy,
 )
+from harmonia import core
 from harmonia.core import (
     _centering_hessian,
     _cm_offsets,
@@ -553,22 +554,81 @@ def test_scatter_order_keeps_each_bodys_terms_in_turn(n):
 
 # bodies 1 and 5, and 2 and 3, are 1e-13 apart; the anti-diagonal order meets (2, 3) first
 TIED_PAIRS = np.array([[0.0, 0.0], [0.0, 5.0], [1e-13, 5.0], [3.0, 3.0], [1e-13, 0.0]])
+# 2^-43, about 1.1e-13: an integer coordinate of up to 9 bits plus or minus it is exact,
+# so each pair planted at this offset is 2^-43 apart bit for bit
+TIE = 2.0 ** -43
 
 
-def test_collision_is_named_in_row_major_order_on_a_tie():
-    masses = MassVector(np.ones(5))
+@st.composite
+def tied_configurations(draw):
+    """n = 3..40 bodies on distinct integer points of [0, 64)^2, 2-4 of them moved TIE
+    from an unmoved body, each along its own axis direction, so that the planted pairs
+    tie as the closest pairs, below the absolute collision threshold."""
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = rng.choice(64 * 64, n, replace=False)
+    q = np.column_stack([cells // 64, cells % 64]).astype(float)
+    planted = draw(st.integers(2, min(4, n - 1)))
+    moved, unmoved = np.split(rng.permutation(n), [planted])
+    steps = rng.permutation(TIE * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+    for body, anchor, step in zip(moved, rng.choice(unmoved, planted), steps):
+        q[body] = q[anchor] + step
+    return q
+
+
+def row_major_collision(q):
+    """Message, pair and separation of the first closest pair of a row-major sweep."""
+    i, j = np.triu_indices(len(q), 1)
+    d = q[i] - q[j]
+    r = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    k = int(r.argmin())
+    pair = (int(i[k]) + 1, int(j[k]) + 1)
+    return f"bodies {pair[0]} and {pair[1]} separated by {r[k]:.3e}", pair, float(r[k])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(q=tied_configurations())
+@example(q=TIED_PAIRS)
+def test_collision_is_named_in_row_major_order_on_a_tie(q):
+    assert row_major_collision(TIED_PAIRS) == ("bodies 1 and 5 separated by 1.000e-13", (1, 5), 1e-13)
+    expected = row_major_collision(q)
+    n = len(q)
+    masses = MassVector(np.random.default_rng(n).uniform(0.5, 2.0, n))
+    mass = masses.m
+    nan_row = q.copy()
+    nan_row[n // 2, 1] = math.nan
+    start = PhaseState(q, np.zeros_like(q))
+    # with two unmoved bodies or more the bodies spread over 1 or more, so the ties lie
+    # below the relative threshold too; at n = 3 a cluster 2^-42 wide does not collide
+    # relative to its own size
+    spread = np.ptp(q, axis=0).max() >= 1.0
     for potential in (NEWTONIAN, PotentialSpec.power(-2.0, 1.0)):
-        for check in (lambda: cc_residual(TIED_PAIRS, masses, potential),
-                      lambda: _gradient_rows(potential, TIED_PAIRS, masses.m)):
+        checks = [lambda: _gradient_rows(potential, q, mass),
+                  lambda: _potential(potential, q, mass),
+                  lambda: _potential(potential, np.stack([nan_row, q]), mass),
+                  lambda: _hessian_rows(potential, q, mass),
+                  lambda: integrate(start, IntegratorSpec("rk4", 1e-3, 1e-3), potential, masses),
+                  lambda: integrate(start, IntegratorSpec("velocity_verlet", 1e-3, 1e-3),
+                                    potential, masses)]
+        if spread:
+            checks += [lambda: _gradient_rows(potential, q, mass, relative=True),
+                       lambda: cc_residual(q, masses, potential)]
+        # whatever order each kernel sweeps its pairs in, it names the row-major pair
+        for check in checks:
             with pytest.raises(CollisionSingularity) as err:
                 check()
-            assert str(err.value) == "bodies 1 and 5 separated by 1.000e-13"
-            assert err.value.pair == (1, 5) and err.value.separation == 1e-13
+            assert (str(err.value), err.value.pair, err.value.separation) == expected
+        # the gradient sweeps its pairs once, also when it raises
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_pair_offsets",
+                          lambda *args: calls.append(args) or _pair_offsets(*args))
+            with pytest.raises(CollisionSingularity):
+                _gradient_rows(potential, q, mass)
+        assert len(calls) == 1
         # a NaN hides the collisions of its configuration, as in row-major order
-        q = TIED_PAIRS.copy()
-        q[3, 1] = math.nan
         for relative in (False, True):
-            assert np.isnan(_gradient_rows(potential, q, masses.m, relative=relative)).any()
+            assert np.isnan(_gradient_rows(potential, nan_row, mass, relative=relative)).any()
 
 
 # -- pair offsets over a stack of configurations -------------------------------

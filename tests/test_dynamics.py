@@ -103,6 +103,10 @@ def test_integrator_spec_rejects_bad_steps():
         IntegratorSpec("euler", dt=1e-3, t_end=1.0)
     with pytest.raises(ValidationError):
         IntegratorSpec("rk4", dt=1e-3, t_end=1.0, sample_stride=0)
+    for stride in (math.nan, math.inf):
+        with pytest.raises(ValidationError) as err:
+            IntegratorSpec("rk4", dt=1e-3, t_end=1.0, sample_stride=stride)
+        assert err.value.field == "sample_stride"
 
 
 def test_integrator_spec_counts_steps():
