@@ -12,9 +12,9 @@ kernel in ``core``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .core import (
     _mass_weighted_offsets,
     _pair_offsets,
     _require_bodies,
+    _require_number,
 )
 from .errors import CollisionSingularity, DegenerateGradient, NoConvergence, ValidationError
 
@@ -40,8 +41,8 @@ _INERTIA_REL_TOL = 1e-12
 # refine_cc refuses a target inertia that q_cm + x carries to fewer digits
 _RESOLVED_INERTIA_RTOL = 1e-8
 
-# verify_continuum's time grows about linearly with the sample count: 16384 samples
-# take ~0.1 s on a 2-vCPU Xeon, mostly in making each sample's CCReport and FamilySample
+# verify_continuum's time grows about linearly with the sample count: 16384 samples take
+# ~17 ms on a 2-vCPU Xeon, and `family` ~57 ms, most of it in printing a line per sample
 MAX_FAMILY_SAMPLES = 16384
 # a rotation that fits two samples to this rigidity residual, times sqrt(k), makes them one shape
 _EQUIVALENCE_TOL = 1e-9
@@ -72,12 +73,34 @@ class FamilySample:
 
 @dataclass(frozen=True)
 class ContinuumReport:
-    """Aggregate verdict over a sampled family of configurations."""
+    """Aggregate verdict over a sampled family of configurations.
+
+    The samples are held as read-only arrays: their angles ``etas`` (S,),
+    the positions ``configs`` (S, 3, 2), and the ``residual``, w2
+    (``omega_squared``) and base length ``r23`` of each, all (S,), with
+    the ``tol`` the residuals were judged by. ``samples`` builds one
+    FamilySample per row on first read.
+    """
 
     k: float
-    samples: tuple
+    etas: np.ndarray
+    configs: np.ndarray
+    residual: np.ndarray
+    omega_squared: np.ndarray
+    r23: np.ndarray
+    tol: float
     verdict: bool
     failures: tuple
+
+    @cached_property
+    def samples(self) -> tuple:
+        """One FamilySample per row, whose ``config`` is that row of ``configs``."""
+        tol = self.tol
+        return tuple(
+            FamilySample(eta, config, CCReport(residual, w, residual <= tol, tol), base)
+            for eta, config, residual, w, base in zip(
+                self.etas.tolist(), self.configs, self.residual.tolist(),
+                self.omega_squared.tolist(), self.r23.tolist()))
 
 
 def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCReport:
@@ -85,14 +108,16 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
 
     Solves grad I = w2 grad U for the scalar w2 and reports the
     scale-insensitive residual |grad I - w2 grad U| / (1 + |grad I|).
-    Raises ValidationError on ``q`` when a gradient, its norm or w2 overflows
-    (the positions lie too far out for doubles), and DegenerateGradient when
-    w2 is undetermined: every body sits at one point, or grad U is 0. Every
-    supported potential is homogeneous of nonzero degree, so grad U vanishes
-    only at a total collision and no absolute floor is set on |grad U|. w2 is
-    solved on grad I and grad U each scaled by its own power of two, so
-    grad U . grad U cannot underflow at large scales; the scales are undone
-    exactly, so in the normal range nothing rounds differently.
+    Raises ValidationError on ``q`` when grad I, |grad I|^2, grad U, |grad U|
+    or w2 overflows (the positions lie too far out for doubles), and
+    DegenerateGradient when w2 is undetermined: every body sits at one
+    point, or grad U is 0. Every supported potential is homogeneous of
+    nonzero degree, so grad U vanishes only at a total collision and no
+    absolute floor is set on |grad U|. w2 and |grad U| are solved on grad I
+    and grad U each scaled by its own power of two, so grad U . grad U
+    neither underflows at large scales nor overflows at small ones; the
+    scales are undone exactly, so in the normal range nothing rounds
+    differently.
     """
     config, m = _bodies(config, m)
     return _cc_residual(config.q, m.m, potential, tol)
@@ -102,19 +127,23 @@ def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol:
     """``cc_residual`` of checked positions ``q`` and masses ``mass``.
 
     ``q`` is one (n, 2) configuration, which gives a CCReport, or an
-    (S, n, 2) stack, which gives a list of S CCReports. A stack needs a
-    gradient kernel that takes stacks, which the harmonic one does. Each
-    row equals its one-configuration call bit for bit: the norms and dot
-    products are ``np.vecdot`` rows, the 1-D dot, and the power-of-two
-    scales are taken per row. A stack raises the error of its first
-    failing row, as one call per row in row order would.
+    (S, n, 2) stack, which gives the (S,) residual and w2 arrays; row s is
+    central when ``residual[s] <= tol``. A stack needs a gradient kernel
+    that takes stacks, which the harmonic one does. Each row equals its
+    one-configuration call bit for bit: the norms and dot products are
+    ``np.vecdot`` rows, the 1-D dot, the power-of-two scales are taken per
+    row, and the last division is one IEEE division on arrays as on floats.
+    A stack raises the error of its first failing row, as one call per row
+    in row order would. |grad I| is the plain norm, so positions whose
+    |grad I|^2 overflows are refused; |grad U| is read off the scaled
+    grad U, so a grad U whose square alone overflows (a singular potential
+    at a small scale) passes.
     """
-    rows = q if q.ndim == 3 else q[None]
-    size, n2 = len(rows), 2 * q.shape[-2]
+    size, n2 = (len(q) if q.ndim == 3 else 1), 2 * q.shape[-2]
     g = np.empty((size, 2, n2))  # grad I and grad U of each row, flattened
     # an overflow shows up in the norms; finite norms bound everything after them
     with np.errstate(all="ignore"):
-        np.multiply(2.0, _mass_weighted_offsets(q, mass).reshape(size, n2), out=g[:, 0])
+        gi = np.multiply(2.0, _mass_weighted_offsets(q, mass).reshape(size, n2), out=g[:, 0])
         try:
             # raised, since an overflowing r^3 would round a pair force to 0, not to inf;
             # the harmonic gradient divides by nothing, so its overflows stay inf or NaN
@@ -122,8 +151,11 @@ def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol:
                 g[:, 1] = _gradient_rows(potential, q, mass, relative=True).reshape(size, n2)
         except FloatingPointError:
             g[:, 1] = math.inf
-        norms = np.sqrt(np.vecdot(g, g))
-        e = np.frexp(np.abs(g).max(axis=-1))[1]
+        ni = np.sqrt(np.vecdot(gi, gi))  # |grad I|
+        # inf or NaN where a gradient holds one, tested before frexp, whose exponent
+        # of an inf or a NaN is unspecified
+        top = np.abs(g).max(axis=-1)
+        e = np.frexp(top)[1]
         g = np.ldexp(g, -e[..., None])
         gi, gu = g[:, 0], g[:, 1]
         gu_sq = np.vecdot(gu, gu)
@@ -132,27 +164,35 @@ def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol:
         misfit = np.ldexp(np.sqrt(np.vecdot(d, d)), e[:, 0])  # |grad I - w2 grad U|
         # not finite exactly when w2 is undetermined or itself reaches 2^1024
         omega_squared = np.ldexp(w2, e[:, 0] - e[:, 1])
-    # only the harmonic grad U can round to a nonzero vector at a total collision:
-    # singular kinds raise there, and power laws give grad U = 0 exactly
-    collided = (rows == rows[:, :1]).reshape(size, -1).all(axis=-1).tolist() \
-        if potential.kind == HARMONIC else itertools.repeat(False)
+        # only the harmonic grad U can round to a nonzero vector at a total collision:
+        # singular kinds raise there, and power laws give grad U = 0 exactly
+        harmonic = potential.kind == HARMONIC
+        if q.ndim == 3:
+            nu = np.where(np.isfinite(top[:, 1]), np.ldexp(np.sqrt(gu_sq), e[:, 1]), math.inf)
+            collided = (q == q[:, :1]).all(axis=(1, 2)) if harmonic else np.zeros(size, bool)
+            failing = ~(np.isfinite(ni + nu) & np.isfinite(omega_squared)) | collided
+            if failing.any():
+                s = int(failing.argmax())
+                raise _cc_error(float(ni[s]), float(nu[s]), gu_sq[s] == 0.0 or collided[s])
+            return misfit / (1.0 + ni), omega_squared
+    # one row: its scalars as floats, so the checks and the last division cost no array call
+    (ni,), (r,), (w,), (sq,) = ni.tolist(), misfit.tolist(), omega_squared.tolist(), gu_sq.tolist()
+    ((_, top_u),), ((_, eu),) = top.tolist(), e.tolist()
+    nu = math.ldexp(math.sqrt(sq), eu) if math.isfinite(top_u) else math.inf
+    collided = harmonic and bool((q == q[0]).all())
+    if not (math.isfinite(ni + nu) and math.isfinite(w)) or collided:
+        raise _cc_error(ni, nu, sq == 0.0 or collided)
+    residual = r / (1.0 + ni)
     tol = float(tol)
-    reports = []
-    # the rows' scalars as floats: the checks and the last division cost no array call
-    for s, ((ni, nu), r, w, total_collision) in enumerate(zip(
-            norms.tolist(), misfit.tolist(), omega_squared.tolist(), collided)):
-        if not (math.isfinite(ni + nu) and math.isfinite(w)) or total_collision:
-            overflow = "gradient overflow: |grad I| = {:.3e}, |grad U| = {:.3e}"
-            if not math.isfinite(ni + nu):
-                nu = nu if math.isfinite(nu) else math.inf  # NaN when grad U overflowed
-                raise ValidationError("q", overflow.format(ni, nu))
-            if gu_sq[s] == 0.0 or total_collision:
-                raise DegenerateGradient(f"|grad U| = {nu:.3e} is degenerate")
-            nu = math.ldexp(math.sqrt(gu_sq[s]), int(e[s, 1]))
-            raise ValidationError("q", overflow.format(ni, nu))
-        residual = r / (1.0 + ni)
-        reports.append(CCReport(residual, w, residual <= tol, tol))
-    return reports if q.ndim == 3 else reports[0]
+    return CCReport(residual, w, residual <= tol, tol)
+
+
+def _cc_error(ni: float, nu: float, degenerate: bool) -> Exception:
+    """The error of a row whose norms |grad I| = ``ni``, |grad U| = ``nu`` or w2 are not
+    finite, or that is ``degenerate`` (grad U = 0, or a harmonic total collision)."""
+    if math.isfinite(ni + nu) and degenerate:
+        return DegenerateGradient(f"|grad U| = {nu:.3e} is degenerate")
+    return ValidationError("q", f"gradient overflow: |grad I| = {ni:.3e}, |grad U| = {nu:.3e}")
 
 
 def _rescale_to_inertia(x: np.ndarray, m: MassVector, k: float) -> np.ndarray:
@@ -246,6 +286,7 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
     from its rounding.
     """
     config0, m = _bodies(config0, m)
+    _require_number(k, "k")
     if not np.isfinite(k) or k <= 0.0:
         raise ValidationError("k", "must be positive")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
@@ -300,6 +341,7 @@ def theorem1_family(k: float, eta: float) -> PlanarConfiguration:
 def _family_positions(k: float, etas) -> np.ndarray:
     """Read-only (S, 3, 2) positions of ``theorem1_family`` at the S ``etas``, with
     libm's cos and sin, which round alike on every platform, unlike numpy's SIMD loops."""
+    _require_number(k, "k")
     if not np.isfinite(k) or k <= 0.0:
         raise ValidationError("k", "must be positive")
     if not np.isfinite(etas).all():
@@ -330,34 +372,46 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     certificate; no fit is made. Margin and r23 both scale with sqrt(k),
     so the verdict does not depend on k. At most MAX_FAMILY_SAMPLES samples
     are accepted. ``_family_positions`` checks k and builds all samples in one stack;
-    a k at which they or their gradients overflow is refused as too large.
+    a k at which they, their gradients or their inertia overflow is refused as too
+    large. The samples stay arrays from the residual kernel to the report;
+    only the failures are formatted: each failing sample's residual line,
+    then its inertia line, then the unseparated pairs.
     """
+    _require_number(n_samples, "n_samples")
     if not 2 <= n_samples <= MAX_FAMILY_SAMPLES or int(n_samples) != n_samples:
         raise ValidationError("n_samples", f"need 2 to {MAX_FAMILY_SAMPLES} samples")
     n_samples = int(n_samples)
+    tol = float(tol)
 
     masses = family_masses()
     etas = [(math.pi / 2.0) * j / n_samples for j in range(1, n_samples + 1)]
     try:  # before the r23 screen could overflow
         stack = _family_positions(k, etas)
-        reports = _cc_residual(stack, masses.m, PotentialSpec.harmonic(), tol)
+        residual, omega_squared = _cc_residual(stack, masses.m, PotentialSpec.harmonic(), tol)
     except ValidationError as exc:  # "k: must be positive", else an overflow at too large a k
         raise exc if exc.field == "k" else ValidationError(
             "k", "too large: the family's gradients overflow") from None
+    with np.errstate(over="ignore"):  # its pair sum, 2 M k, overflows first
+        inertia = _inertia(stack, masses.m)
+    if not np.isfinite(inertia).all():
+        raise ValidationError("k", "too large: the family's inertia overflows")
     _, offsets = _cm_offsets(stack, masses.m)
     r23, margin, unseparated = _unseparated_pairs(offsets, masses, _EQUIVALENCE_TOL * math.sqrt(k))
-    samples, failures = [], []
-    for eta, config, report, base, inertia in zip(
-            etas, stack, reports, r23.tolist(), _inertia(stack, masses.m).tolist()):
-        samples.append(FamilySample(eta, config, report, base))
-        if not report.is_cc:
-            failures.append(f"eta={eta:.6f}: residual {report.residual:.3e} exceeds {tol:g}")
-        if abs(inertia - k) > _INERTIA_REL_TOL * k:
-            failures.append(f"eta={eta:.6f}: inertia {inertia!r} misses k={k!r}")
+    not_cc = ~(residual <= tol)
+    missed = np.abs(inertia - k) > _INERTIA_REL_TOL * k
+    failures = []
+    for s in np.flatnonzero(not_cc | missed).tolist():
+        if not_cc[s]:
+            failures.append(f"eta={etas[s]:.6f}: residual {float(residual[s]):.3e} "
+                            f"exceeds {tol:g}")
+        if missed[s]:
+            failures.append(f"eta={etas[s]:.6f}: inertia {float(inertia[s])!r} misses k={k!r}")
     for i, j in unseparated:
         failures.append(f"samples eta={etas[i]:.6f} and eta={etas[j]:.6f} "
                         f"are not told apart: r23 within {margin:.3e}")
-    return ContinuumReport(float(k), tuple(samples), not failures, tuple(failures))
+    return ContinuumReport(float(k), _frozen(np.array(etas)), stack, _frozen(residual),
+                           _frozen(omega_squared), _frozen(r23), tol, not failures,
+                           tuple(failures))
 
 
 def _unseparated_pairs(offsets: np.ndarray, masses: MassVector, tol: float):

@@ -335,12 +335,12 @@ def cmd_family(k: float, n_samples: int) -> RunReport:
     result = verify_continuum(k, n_samples, tol=1e-12)
     report = RunReport("family")
     report.measurements["k"] = result.k
-    report.measurements["samples"] = len(result.samples)
+    report.measurements["samples"] = len(result.etas)
     report.verdicts["continuum"] = result.verdict
-    for s in result.samples:
-        report.details.append(
-            f"eta = {_fmt(s.eta)}  residual = {_fmt(s.report.residual)}  "
-            f"r23 = {_fmt(s.r23)}")
+    # "%.17g" % x is format(x, ".17g"), as _fmt prints a float
+    report.details.extend(
+        "eta = %.17g  residual = %.17g  r23 = %.17g" % row
+        for row in zip(result.etas.tolist(), result.residual.tolist(), result.r23.tolist()))
     report.details.extend(result.failures)
     report.exit_status = EXIT_OK if result.verdict else EXIT_VERIFICATION_FAILED
     return report
@@ -366,14 +366,14 @@ def cmd_reproduce(which: str) -> RunReport:
     report = RunReport(f"reproduce {which}")
     if which == "theorem1":
         result = verify_continuum(1.0, 64, tol=1e-12)
-        base_lengths = [s.r23 for s in result.samples]
-        monotone = all(b > a for a, b in zip(base_lengths, base_lengths[1:]))
-        report.measurements["samples"] = len(result.samples)
-        report.measurements["max_residual"] = max(s.report.residual for s in result.samples)
+        monotone = bool((result.r23[1:] > result.r23[:-1]).all())
+        residuals = result.residual.tolist()
+        report.measurements["samples"] = len(residuals)
+        report.measurements["max_residual"] = max(residuals)
         report.verdicts["continuum_of_central_configurations"] = result.verdict
         report.verdicts["base_length_strictly_monotone"] = monotone
-        for s in result.samples:
-            report.details.append(f"eta = {_fmt(s.eta)}  residual = {_fmt(s.report.residual)}")
+        report.details.extend("eta = %.17g  residual = %.17g" % row
+                              for row in zip(result.etas.tolist(), residuals))
         report.details.extend(result.failures)
         passed = result.verdict and monotone
     elif which == "theorem2":

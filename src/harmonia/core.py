@@ -43,6 +43,13 @@ def _require_bodies(ok: np.ndarray, field: str, reason: str) -> None:
         raise ValidationError(f"{field}[{i}]", reason)
 
 
+def _require_number(value, field: str) -> None:
+    """Raise ValidationError on ``field`` unless ``value`` is an int or a float (numpy's
+    included), before any arithmetic on it; a bool is refused, though it is an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(field, "expected a number")
+
+
 def rotation(angle) -> np.ndarray:
     """Counterclockwise rotation matrix for ``angle`` radians, (..., 2, 2) for angles (...)."""
     c = np.cos(angle)

@@ -32,6 +32,7 @@ from .core import (
     _gradient_rows,
     _inertia,
     _potential,
+    _require_number,
     as_mass_vector,
 )
 from .errors import NonFiniteState, ValidationError
@@ -69,6 +70,8 @@ class IntegratorSpec:
     def __post_init__(self) -> None:
         if self.method not in INTEGRATION_METHODS:
             raise ValidationError("method", f"unknown integrator {self.method!r}")
+        for name in ("dt", "t_end", "sample_stride"):
+            _require_number(getattr(self, name), name)
         if not np.isfinite(self.dt) or self.dt <= 0.0:
             raise ValidationError("dt", "step size must be positive")
         if not np.isfinite(self.t_end) or self.t_end < self.dt:

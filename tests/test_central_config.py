@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from harmonia import (
     CollisionSingularity,
     DegenerateGradient,
+    IntegratorSpec,
     MassVector,
     NoConvergence,
     PlanarConfiguration,
@@ -164,8 +165,13 @@ def harmonic_stacks(draw):
 @given(system=harmonic_stacks())
 def test_stacked_harmonic_residual_rows_equal_the_one_configuration_call(system):
     stack, mass = system
-    assert _cc_residual(stack, mass, HARMONIC, 1e-12) \
-        == [_cc_residual(q, mass, HARMONIC, 1e-12) for q in stack]
+    residual, omega_squared = _cc_residual(stack, mass, HARMONIC, 1e-12)
+    assert residual.shape == omega_squared.shape == (len(stack),)
+    for q, r, w in zip(stack, residual, omega_squared):
+        report = _cc_residual(q, mass, HARMONIC, 1e-12)
+        assert r.tobytes() == np.float64(report.residual).tobytes()
+        assert w.tobytes() == np.float64(report.omega_squared).tobytes()
+        assert bool(r <= 1e-12) is report.is_cc
 
 
 @pytest.mark.parametrize("k", [1e-29, 1.0, 1e300])
@@ -513,6 +519,28 @@ def test_verify_continuum_rejects_sample_counts_out_of_range(n_samples):
         verify_continuum(1.0, n_samples)
     assert err.value.field == "n_samples"
     assert err.value.reason == f"need 2 to {MAX_FAMILY_SAMPLES} samples"
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: verify_continuum(1.0, "8"), "n_samples"),
+    (lambda: verify_continuum(1.0, True), "n_samples"),
+    (lambda: verify_continuum("1", 8), "k"),
+    (lambda: verify_continuum(True, 8), "k"),
+    (lambda: theorem1_family(None, 0.3), "k"),
+    (lambda: refine_cc(equilateral(), M3, NEWTONIAN, "1"), "k"),
+    (lambda: refine_cc(equilateral(), M3, NEWTONIAN, True), "k"),
+    (lambda: IntegratorSpec("rk4", "0.1", 1.0), "dt"),
+    (lambda: IntegratorSpec("rk4", True, 1.0), "dt"),
+    (lambda: IntegratorSpec("rk4", 0.1, [1.0]), "t_end"),
+    (lambda: IntegratorSpec("rk4", 0.1, 1.0, sample_stride="2"), "sample_stride"),
+    (lambda: IntegratorSpec("rk4", 0.1, 1.0, sample_stride=True), "sample_stride"),
+], ids=["continuum-n_samples-str", "continuum-n_samples-bool", "continuum-k-str",
+        "continuum-k-bool", "family-k-None", "refine-k-str", "refine-k-bool", "spec-dt-str",
+        "spec-dt-bool", "spec-t_end-list", "spec-stride-str", "spec-stride-bool"])
+def test_numeric_parameters_of_the_wrong_type_are_validation_errors(call, field):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert (err.value.field, err.value.reason) == (field, "expected a number")
 
 
 def all_pairs_equivalent(offsets, masses):

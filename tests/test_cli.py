@@ -5,16 +5,20 @@ import json
 import math
 import os
 import stat
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from harmonia import ParseError, ValidationError, cli
+from harmonia import ParseError, ValidationError, cli, verify_continuum
 from harmonia.cli import (
     EXIT_ERROR,
     EXIT_OK,
+    _fmt,
     cmd_cc_check,
     cmd_family,
     cmd_reproduce,
@@ -497,6 +501,27 @@ def test_cc_check_certifies_the_lagrange_triangle_at_small_scales(tmp_path, caps
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("scale", [1e-77, 1e-100])
+def test_cc_check_reads_no_gradient_overflow_where_only_grad_u_squared_overflows(
+        tmp_path, capsys, scale):
+    # grad U ~ 1/r^2 is about 1e154..1e200 here: a double, though its square is not
+    triangles = {"lagrange": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386]],
+                 "non_central": [[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]]}
+    for name, points in triangles.items():
+        doc = {"masses": [1.0, 1.0, 1.0], "positions": (scale * np.array(points)).tolist(),
+               "potential": {"kind": "newtonian"}}
+        path = tmp_path / f"{name}.json"
+        path.write_text(scenario_text(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["cc-check", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, captured.out
+        assert captured.err == ""
+        if name == "lagrange":
+            assert "is_cc = true" in captured.out.splitlines()
+
+
 def test_cc_check_reports_pair_force_overflow(tmp_path, capsys):
     # r^3 overflows while r does not: every Newtonian pair force would round to 0
     scale = 1e150
@@ -531,6 +556,58 @@ def test_family_at_overflowing_k_prints_one_error_and_no_warning(capsys, k, line
     captured = capsys.readouterr()
     assert captured.out == line + "\n"
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("k, line", [
+    ("2.5e307", "[PASS] continuum"),
+    ("4e307", "error: k: too large: the family's inertia overflows"),
+])
+def test_family_below_the_gradient_overflow_passes_or_names_its_inertia(capsys, k, line):
+    # |grad U|^2 = 9k overflows from k = 2e307 and the inertia's pair sum 6k from 3e307,
+    # |grad I|^2 = 4k only from 4.5e307
+    code = main(["family", "--k", k, "--samples", "64"])
+    captured = capsys.readouterr()
+    assert line in captured.out.splitlines()
+    assert code == (EXIT_OK if line.startswith("[PASS]") else EXIT_ERROR)
+    assert captured.err == ""
+
+
+def old_detail_lines(result, with_r23):
+    """Each sample's detail line as printed before the samples were kept as arrays."""
+    return [f"eta = {_fmt(s.eta)}  residual = {_fmt(s.report.residual)}"
+            + (f"  r23 = {_fmt(s.r23)}" if with_r23 else "") for s in result.samples]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(k=st.tuples(st.floats(1.0, 9.99), st.integers(-29, 299)).map(lambda t: t[0] * 10.0 ** t[1]),
+       n_samples=st.integers(2, 512))
+def test_family_lines_equal_the_lines_built_from_each_sample(k, n_samples):
+    report = cmd_family(k, n_samples)
+    result = verify_continuum(k, n_samples, tol=1e-12)
+    assert report.details == old_detail_lines(result, True) + list(result.failures)
+    assert report.lines()[:3] == ["command: family", f"k = {_fmt(float(k))}",
+                                  f"samples = {n_samples}"]
+
+
+def test_theorem1_lines_equal_the_lines_built_from_each_sample():
+    report = cmd_reproduce("theorem1")
+    result = verify_continuum(1.0, 64, tol=1e-12)
+    base = [s.r23 for s in result.samples]
+    assert report.details == old_detail_lines(result, False) + list(result.failures)
+    assert report.measurements == {
+        "samples": 64, "max_residual": max(s.report.residual for s in result.samples)}
+    assert report.verdicts["base_length_strictly_monotone"] \
+        is all(b > a for a, b in zip(base, base[1:]))
+
+
+def test_percent_g_formats_every_double_as_format_does():
+    # the family's detail lines use "%.17g" % x where _fmt uses format(x, ".17g")
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+             2.225073858507201e-308, 2.2250738585072014e-308, sys.float_info.max,
+             -sys.float_info.max, 1e16, 1e17, 0.1, 1.0 / 3.0]
+    bits = np.random.default_rng(20261020).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+    for x in edges + bits.view(np.float64).tolist():
+        assert "%.17g" % x == format(x, ".17g") == _fmt(x)
 
 
 def test_family_at_tiny_k_passes_at_the_sample_cap(capsys):
