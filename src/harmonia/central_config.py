@@ -31,6 +31,8 @@ from .core import (
     _hessian_rows,
     _inertia,
     _mass_weighted_offsets,
+    _pair_coefficients,
+    _pair_gradient,
     _pair_offsets,
     _require_bodies,
     _require_number,
@@ -60,10 +62,11 @@ class CCReport:
     tol: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilySample:
     """One member of the isosceles family, its verdict and the r23 the screen compared;
-    ``config`` holds its read-only (3, 2) positions, a row of one stack for all samples."""
+    ``config`` holds its read-only (3, 2) positions, a row of one stack for all samples.
+    Equality is identity, as an array field has no truth value to compare by."""
 
     eta: float
     config: np.ndarray
@@ -71,7 +74,7 @@ class FamilySample:
     r23: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuumReport:
     """Aggregate verdict over a sampled family of configurations.
 
@@ -79,7 +82,7 @@ class ContinuumReport:
     the positions ``configs`` (S, 3, 2), and the ``residual``, w2
     (``omega_squared``) and base length ``r23`` of each, all (S,), with
     the ``tol`` the residuals were judged by. ``samples`` builds one
-    FamilySample per row on first read.
+    FamilySample per row on first read. Equality is identity, as for FamilySample.
     """
 
     k: float
@@ -120,6 +123,7 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
     differently.
     """
     config, m = _bodies(config, m)
+    _require_number(tol, "tol")
     return _cc_residual(config.q, m.m, potential, tol)
 
 
@@ -205,14 +209,32 @@ def _rescale_to_inertia(x: np.ndarray, m: MassVector, k: float) -> np.ndarray:
 
 
 def _lagrange_residual(x: np.ndarray, m: MassVector, potential: PotentialSpec):
-    """grad I, the least-squares multiplier lam, and grad U - lam grad I at ``x``."""
+    """grad I, the least-squares multiplier lam, and F = grad U - lam grad I at ``x``,
+    with the ``_pair_coefficients`` of ``x`` (None for the harmonic kind), which the
+    Newton step from ``x`` hands to the Hessian instead of sweeping the pairs again."""
     gi = 2.0 * _mass_weighted_offsets(x, m.m)
-    gu = _gradient_rows(potential, x, m.m)
+    if potential.kind == HARMONIC:
+        coefficients, gu = None, _gradient_rows(potential, x, m.m)
+    else:
+        coefficients = _pair_coefficients(potential, x, m.m)
+        gu = _pair_gradient(coefficients, m.n, keep=True)
     lam = float((gu * gi).sum()) / float((gi * gi).sum())
-    return gi, lam, gu - lam * gi
+    return gi, lam, gu - lam * gi, coefficients
 
 
-def _newton_step(x: np.ndarray, m: MassVector, potential: PotentialSpec, state) -> np.ndarray:
+def _newton_scratch(m: MassVector):
+    """What every Newton step of one refine shares: the bordered Jacobian with its two
+    translation-gauge rows and columns written, the right-hand side, whose last four
+    entries stay 0, and the ``_centering_hessian``."""
+    n2 = 2 * m.n
+    jac = np.zeros((n2 + 4, n2 + 4))
+    jac[n2 + 1, 0:n2:2] = jac[0:n2:2, n2 + 1] = m.m
+    jac[n2 + 2, 1:n2:2] = jac[1:n2:2, n2 + 2] = m.m
+    return jac, np.zeros(n2 + 4), _centering_hessian(m.m)
+
+
+def _newton_step(x: np.ndarray, m: MassVector, potential: PotentialSpec, state,
+                 scratch) -> np.ndarray:
     """Newton step of F(q, lam) = (grad U - lam grad I, I - k) at a CM-frame ``x``.
 
     Solves the bordered Jacobian [[H_U - lam H_I, -grad I], [grad I^T, 0]];
@@ -220,27 +242,34 @@ def _newton_step(x: np.ndarray, m: MassVector, potential: PotentialSpec, state) 
     as zero. F does not change under translation or rotation, so three gauge rows
     (no shift of the center of mass, no rotation about it) and their
     multiplier columns make the system square and regular at a
-    nondegenerate critical point.
+    nondegenerate critical point. The step writes into the refine's ``_newton_scratch``
+    only H_U - lam H_I, with H_U from the pair coefficients in ``state`` and H_I twice
+    the centering Hessian, the -/+ grad I border, the rotation-gauge row and column, and
+    -F; ``np.linalg.solve`` copies its inputs, so the scratch is never solved in place.
     """
-    gi, lam, f = state
+    gi, lam, f, coefficients = state
+    jac, rhs, centering = scratch
     n2 = 2 * m.n
-    gauge = np.zeros((3, n2))
-    gauge[0, 0::2] = m.m
-    gauge[1, 1::2] = m.m
-    gauge[2, 0::2] = -m.m * x[:, 1]
-    gauge[2, 1::2] = m.m * x[:, 0]
-    jac = np.zeros((n2 + 4, n2 + 4))
-    jac[:n2, :n2] = _hessian_rows(potential, x, m.m) - 2.0 * lam * _centering_hessian(m.m)
-    jac[:n2, n2] = -gi.ravel()
-    jac[n2, :n2] = gi.ravel()
-    jac[:n2, n2 + 1:] = gauge.T
-    jac[n2 + 1:, :n2] = gauge
-    rhs = np.zeros(n2 + 4)
-    rhs[:n2] = -f.ravel()
+    np.subtract(_hessian_rows(potential, x, m.m, coefficients), 2.0 * lam * centering,
+                out=jac[:n2, :n2])
+    np.negative(gi.reshape(n2), out=jac[:n2, n2])
+    jac[n2, :n2] = gi.reshape(n2)
+    turn = jac[n2 + 3, :n2]  # no rotation about the center of mass
+    np.multiply(-m.m, x[:, 1], out=turn[0::2])
+    np.multiply(m.m, x[:, 0], out=turn[1::2])
+    jac[:n2, n2 + 3] = turn
+    np.negative(f.reshape(n2), out=rhs[:n2])
     return np.linalg.solve(jac, rhs)[:n2].reshape(-1, 2)
 
 
-def _damped_newton(x: np.ndarray, m: MassVector, potential: PotentialSpec, k: float, state):
+def _norm(f: np.ndarray) -> float:
+    """|F|, the double ``np.linalg.norm`` gives, without its dispatch."""
+    f = f.reshape(-1)
+    return math.sqrt(f.dot(f))
+
+
+def _damped_newton(x: np.ndarray, m: MassVector, potential: PotentialSpec, k: float, state,
+                   scratch):
     """The first of the Newton step and its halvings (at most 30) that lowers |F|.
 
     Each trial is rescaled onto I = k before |F| is measured. Returns the
@@ -248,17 +277,17 @@ def _damped_newton(x: np.ndarray, m: MassVector, potential: PotentialSpec, k: fl
     better (or the Jacobian is singular, at a degenerate critical point).
     """
     try:
-        step = _newton_step(x, m, potential, state)
+        step = _newton_step(x, m, potential, state, scratch)
     except np.linalg.LinAlgError:
         return None
-    f0 = float(np.linalg.norm(state[2]))
+    f0 = _norm(state[2])
     for halving in range(30):
         try:
             trial = _rescale_to_inertia(x + 0.5 ** halving * step, m, k)
             trial_state = _lagrange_residual(trial, m, potential)
         except (CollisionSingularity, DegenerateGradient):  # a trial through a collision
             continue
-        if float(np.linalg.norm(trial_state[2])) < f0:
+        if _norm(trial_state[2]) < f0:
             return trial, trial_state
     return None
 
@@ -276,17 +305,25 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
     ellipsoid (the Lagrange configuration is one) are found as readily as
     minima.
 
+    Before its first step a refine builds, once, the ``_newton_scratch``: the
+    bordered Jacobian with its translation-gauge rows and columns, the
+    right-hand side and the centering Hessian. Each step writes only what moves
+    with the iterate (``_newton_step``), and its Hessian reads the pair
+    coefficients that the iterate's ``_lagrange_residual`` swept; every iterate
+    is bit for bit that of a step built afresh.
+
     Takes at most ``max_iter`` steps and judges convergence by
     ``cc_residual`` of the configuration it returns. NoConvergence carries
     the steps taken and that residual, and names the rounding floor at
     q_cm when the stalled iterate is central only in the q_cm frame.
-    Raises ValidationError on ``max_iter`` unless it is a non-negative
-    integer, on ``q`` when the start's inertia overflows, and on ``k`` when
-    q_cm is so large that a configuration of inertia k cannot be told apart
-    from its rounding.
+    Raises ValidationError on ``k`` or ``tol`` unless a number, on ``max_iter``
+    unless it is a non-negative integer, on ``q`` when the start's inertia
+    overflows, and on ``k`` when q_cm is so large that a configuration of
+    inertia k cannot be told apart from its rounding.
     """
     config0, m = _bodies(config0, m)
     _require_number(k, "k")
+    _require_number(tol, "tol")
     if not np.isfinite(k) or k <= 0.0:
         raise ValidationError("k", "must be positive")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
@@ -315,7 +352,8 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
                                 iteration, report.residual)
         if state is None:
             state = _lagrange_residual(x, m, potential)
-        moved = _damped_newton(x, m, potential, k, state)
+            scratch = _newton_scratch(m)
+        moved = _damped_newton(x, m, potential, k, state, scratch)
         if moved is None:
             floor = _cc_residual(x, m.m, potential, tol)
             why = (f": the limit is the rounding floor at the center of mass ({qcm[0]:.3e}, "
@@ -335,6 +373,7 @@ def theorem1_family(k: float, eta: float) -> PlanarConfiguration:
     potential, and distinct eta in (0, pi/2] give rotationally
     inequivalent shapes.
     """
+    _require_number(eta, "eta")
     return PlanarConfiguration(_family_positions(k, [eta])[0])
 
 
@@ -381,6 +420,7 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     if not 2 <= n_samples <= MAX_FAMILY_SAMPLES or int(n_samples) != n_samples:
         raise ValidationError("n_samples", f"need 2 to {MAX_FAMILY_SAMPLES} samples")
     n_samples = int(n_samples)
+    _require_number(tol, "tol")
     tol = float(tol)
 
     masses = family_masses()

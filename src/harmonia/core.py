@@ -140,6 +140,9 @@ class PotentialSpec:
         if self.kind not in POTENTIAL_KINDS:
             raise ValidationError("kind", f"unknown potential {self.kind!r}")
         if self.kind == POWER:
+            for value, field in ((self.exponent, "exponent"), (self.coupling, "coupling")):
+                if value is not None:
+                    _require_number(value, field)
             if self.exponent is None or not np.isfinite(self.exponent) or self.exponent == 0.0:
                 raise ValidationError("exponent", "power law needs a finite nonzero exponent")
             if self.coupling is None or not np.isfinite(self.coupling) or self.coupling <= 0.0:
@@ -378,10 +381,16 @@ def _gradient_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray,
     """
     if potential.kind == HARMONIC:
         return float(mass.sum()) * _mass_weighted_offsets(q, mass)
-    i, j, dx, dy, _, _, coef = _pair_coefficients(potential, q, mass, relative)
-    n = q.shape[0]
+    return _pair_gradient(_pair_coefficients(potential, q, mass, relative), q.shape[0])
+
+
+def _pair_gradient(coefficients, n: int, keep: bool = False) -> np.ndarray:
+    """grad U, (n, 2), from the ``_pair_coefficients`` of one configuration of n bodies.
+    Their c is overwritten by the y forces unless ``keep``, which leaves it for a Hessian
+    of the same configuration; the forces round alike either way."""
+    i, j, dx, dy, _, _, coef = coefficients
     fx = coef * dx
-    fy = np.multiply(coef, dy, out=coef)
+    fy = coef * dy if keep else np.multiply(coef, dy, out=coef)
     grad = np.empty((n, 2))
     np.subtract(np.bincount(i, fx, n), np.bincount(j, fx, n), out=grad[:, 0])
     np.subtract(np.bincount(i, fy, n), np.bincount(j, fy, n), out=grad[:, 1])
@@ -394,26 +403,40 @@ def _centering_hessian(mass: np.ndarray) -> np.ndarray:
     return np.kron(block, np.eye(2))
 
 
-def _hessian_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray) -> np.ndarray:
+def _hessian_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray,
+                  coefficients=None) -> np.ndarray:
     """Exact Hessian of the potential, shape (2n, 2n), coordinate 2i + c for body i.
 
     Each pair i < j adds the 2x2 block B = c I_2 + (c'/r) d d^T, with
     d = q_i - q_j and c(r) the coefficient of ``_pair_coefficients``, to the
     diagonal blocks (i, i) and (j, j), and -B to (i, j) and (j, i). Each pair writes
     its own blocks and the diagonal sums the dense table, so the pair order is moot.
+    A caller that holds the pair ``coefficients`` of ``q``, taken with the absolute
+    collision threshold and with c kept (``_pair_gradient(..., keep=True)``), passes
+    them in, and the Hessian is the same bit for bit.
     """
     if potential.kind == HARMONIC:
         return float(mass.sum()) * _centering_hessian(mass)
+    if coefficients is None:
+        coefficients = _pair_coefficients(potential, q, mass)
     # d d^T = 0 at a coincident pair, where rr = 1 passes it through
-    i, j, dx, dy, rr, alpha, c = _pair_coefficients(potential, q, mass)
+    i, j, dx, dy, rr, alpha, c = coefficients
     c_over_r = (alpha - 2.0) * c / (rr * rr)
-    outer = np.stack([dx * dx, dx * dy, dx * dy, dy * dy], axis=-1).reshape(-1, 2, 2)  # d d^T
-    block = c[:, None, None] * np.eye(2) + c_over_r[:, None, None] * outer
+    # B entry by entry, c + (c'/r) d_a d_b on the diagonal and c * 0 + (c'/r) dx dy off
+    # it, which keeps the sign a zero entry has in c I_2 + (c'/r) d d^T
+    block = np.empty((len(c), 2, 2))
+    xx, xy, yy = block[:, 0, 0], block[:, 0, 1], block[:, 1, 1]
+    for entry, a, b, diagonal in ((xx, dx, dx, c), (xy, dx, dy, c * 0.0), (yy, dy, dy, c)):
+        np.multiply(a, b, out=entry)
+        entry *= c_over_r
+        entry += diagonal
+    block[:, 1, 0] = xy
+    np.negative(block, out=block)
     n = q.shape[0]
     hess = np.zeros((n, n, 2, 2))
-    hess[i, j] = hess[j, i] = -block
+    hess[i, j] = hess[j, i] = block
     # every block row sums to zero, since U does not change under translation
-    hess[np.arange(n), np.arange(n)] = -hess.sum(axis=1)
+    np.negative(hess.sum(axis=1), out=hess.reshape(n * n, 2, 2)[::n + 1])
     return hess.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
 
 

@@ -534,13 +534,33 @@ def test_verify_continuum_rejects_sample_counts_out_of_range(n_samples):
     (lambda: IntegratorSpec("rk4", 0.1, [1.0]), "t_end"),
     (lambda: IntegratorSpec("rk4", 0.1, 1.0, sample_stride="2"), "sample_stride"),
     (lambda: IntegratorSpec("rk4", 0.1, 1.0, sample_stride=True), "sample_stride"),
+    (lambda: theorem1_family(1.0, "0.3"), "eta"),
+    (lambda: theorem1_family(1.0, None), "eta"),
+    (lambda: PotentialSpec.power("2", 1.0), "exponent"),
+    (lambda: PotentialSpec.power(2.0, True), "coupling"),
+    (lambda: cc_residual(equilateral(), M3, NEWTONIAN, "1e-9"), "tol"),
+    (lambda: refine_cc(equilateral(), M3, NEWTONIAN, 1.0, tol="1e-9"), "tol"),
+    (lambda: verify_continuum(1.0, 8, tol="1e-12"), "tol"),
+    (lambda: verify_continuum(1.0, 8, tol=False), "tol"),
 ], ids=["continuum-n_samples-str", "continuum-n_samples-bool", "continuum-k-str",
         "continuum-k-bool", "family-k-None", "refine-k-str", "refine-k-bool", "spec-dt-str",
-        "spec-dt-bool", "spec-t_end-list", "spec-stride-str", "spec-stride-bool"])
+        "spec-dt-bool", "spec-t_end-list", "spec-stride-str", "spec-stride-bool",
+        "family-eta-str", "family-eta-None", "power-exponent-str", "power-coupling-bool",
+        "cc-tol-str", "refine-tol-str", "continuum-tol-str", "continuum-tol-bool"])
 def test_numeric_parameters_of_the_wrong_type_are_validation_errors(call, field):
     with pytest.raises(ValidationError) as err:
         call()
     assert (err.value.field, err.value.reason) == (field, "expected a number")
+
+
+def test_continuum_reports_compare_by_identity():
+    # array fields have no truth value, so == on the reports is identity, not field by field
+    report, again = verify_continuum(1.0, 4), verify_continuum(1.0, 4)
+    sample = report.samples[0]
+    for a, b in ((report, again), (sample, again.samples[0])):
+        assert (a == a) is True and (a != a) is False
+        assert (a == b) is False and (a != b) is True
+    assert report.samples == report.samples
 
 
 def all_pairs_equivalent(offsets, masses):
