@@ -131,19 +131,78 @@ def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol:
     """``cc_residual`` of checked positions ``q`` and masses ``mass``.
 
     ``q`` is one (n, 2) configuration, which gives a CCReport, or an
-    (S, n, 2) stack, which gives the (S,) residual and w2 arrays; row s is
-    central when ``residual[s] <= tol``. A stack needs a gradient kernel
-    that takes stacks, which the harmonic one does. Each row equals its
-    one-configuration call bit for bit: the norms and dot products are
-    ``np.vecdot`` rows, the 1-D dot, the power-of-two scales are taken per
-    row, and the last division is one IEEE division on arrays as on floats.
-    A stack raises the error of its first failing row, as one call per row
-    in row order would. |grad I| is the plain norm, so positions whose
-    |grad I|^2 overflows are refused; |grad U| is read off the scaled
-    grad U, so a grad U whose square alone overflows (a singular potential
-    at a small scale) passes.
+    (S, n, 2) stack, which gives ``_stacked_cc_residual``'s (S,) arrays.
+    There are two paths because a refine calls this once per iterate on a
+    handful of bodies, where each array call costs more than its arithmetic:
+    one configuration works on the flat (2n,) rows of grad I and grad U and
+    keeps every scalar a float, while a stack reduces all rows at once.
+    Both round alike, bit for bit: a 1-D ``ndarray.dot`` is the BLAS dot
+    that a stack's ``np.vecdot`` rows reach, the power-of-two scales come
+    from the same exponents, and each scalar step is one IEEE operation on
+    floats as on arrays. ``math.ldexp`` raises OverflowError where
+    ``np.ldexp`` gives inf, and a float division by 0 raises, so ``_ldexp``
+    and the degenerate test before w2 stand in for the array semantics.
+    |grad I| is the plain norm, so positions whose |grad I|^2 overflows are
+    refused; |grad U| is read off the scaled grad U, so a grad U whose
+    square alone overflows (a singular potential at a small scale) passes.
+    A grad U holding an inf or a NaN has |grad U| = inf.
     """
-    size, n2 = (len(q) if q.ndim == 3 else 1), 2 * q.shape[-2]
+    if q.ndim == 3:
+        return _stacked_cc_residual(q, mass, potential)
+    harmonic = potential.kind == HARMONIC
+    n2 = 2 * len(q)
+    # an overflow shows up in the norms; finite norms bound everything after them
+    with np.errstate(all="ignore"):
+        gi = _mass_weighted_offsets(q, mass).reshape(n2)
+        gi *= 2.0
+        try:
+            with np.errstate(over="ignore" if harmonic else "raise"):
+                gu = _gradient_rows(potential, q, mass, relative=True).reshape(n2)
+        except FloatingPointError:  # see _stacked_cc_residual
+            gu = None
+        ni = math.sqrt(gi.dot(gi))  # |grad I|
+        nu = sq = math.inf
+        if gu is not None:
+            # max skips a NaN that comes first, which then shows up in sq
+            eu = math.frexp(max(map(abs, gu.tolist())))[1]
+            gu = np.ldexp(gu, -eu)
+            sq = float(gu.dot(gu))
+            if math.isfinite(sq):
+                nu = _ldexp(math.sqrt(sq), eu)
+        if not math.isfinite(ni + nu) or sq == 0.0:  # w2 would be inf or NaN
+            raise _cc_error(ni, nu, True)
+        # ni is finite, so every entry of grad I is
+        ei = math.frexp(max(map(abs, gi.tolist())))[1]
+        gi = np.ldexp(gi, -ei)
+        w2 = float(gi.dot(gu)) / sq  # w2 * 2^(eu - ei)
+        omega_squared = _ldexp(w2, ei - eu)
+        # only the harmonic grad U can round to a nonzero vector at a total collision:
+        # singular kinds raise there, and power laws give grad U = 0 exactly
+        collided = harmonic and bool((q == q[0]).all())
+        if collided or not math.isfinite(omega_squared):
+            raise _cc_error(ni, nu, collided)
+        gi -= w2 * gu  # grad I - w2 grad U, scaled
+        misfit = _ldexp(math.sqrt(gi.dot(gi)), ei)
+    residual = misfit / (1.0 + ni)
+    tol = float(tol)
+    return CCReport(residual, omega_squared, residual <= tol, tol)
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e as ``np.ldexp`` gives it: +/-inf where ``math.ldexp`` raises OverflowError."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _stacked_cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec):
+    """The (S,) residual and w2 arrays of an (S, n, 2) stack ``q``; row s is central when
+    ``residual[s] <= tol``. A stack needs a gradient kernel that takes stacks, which the
+    harmonic one does. Each row equals its one-configuration ``_cc_residual`` bit for bit,
+    and a stack raises the error of its first failing row, as one call per row in row
+    order would."""
+    size, n2 = len(q), 2 * q.shape[-2]
     g = np.empty((size, 2, n2))  # grad I and grad U of each row, flattened
     # an overflow shows up in the norms; finite norms bound everything after them
     with np.errstate(all="ignore"):
@@ -168,27 +227,15 @@ def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol:
         misfit = np.ldexp(np.sqrt(np.vecdot(d, d)), e[:, 0])  # |grad I - w2 grad U|
         # not finite exactly when w2 is undetermined or itself reaches 2^1024
         omega_squared = np.ldexp(w2, e[:, 0] - e[:, 1])
-        # only the harmonic grad U can round to a nonzero vector at a total collision:
-        # singular kinds raise there, and power laws give grad U = 0 exactly
-        harmonic = potential.kind == HARMONIC
-        if q.ndim == 3:
-            nu = np.where(np.isfinite(top[:, 1]), np.ldexp(np.sqrt(gu_sq), e[:, 1]), math.inf)
-            collided = (q == q[:, :1]).all(axis=(1, 2)) if harmonic else np.zeros(size, bool)
-            failing = ~(np.isfinite(ni + nu) & np.isfinite(omega_squared)) | collided
-            if failing.any():
-                s = int(failing.argmax())
-                raise _cc_error(float(ni[s]), float(nu[s]), gu_sq[s] == 0.0 or collided[s])
-            return misfit / (1.0 + ni), omega_squared
-    # one row: its scalars as floats, so the checks and the last division cost no array call
-    (ni,), (r,), (w,), (sq,) = ni.tolist(), misfit.tolist(), omega_squared.tolist(), gu_sq.tolist()
-    ((_, top_u),), ((_, eu),) = top.tolist(), e.tolist()
-    nu = math.ldexp(math.sqrt(sq), eu) if math.isfinite(top_u) else math.inf
-    collided = harmonic and bool((q == q[0]).all())
-    if not (math.isfinite(ni + nu) and math.isfinite(w)) or collided:
-        raise _cc_error(ni, nu, sq == 0.0 or collided)
-    residual = r / (1.0 + ni)
-    tol = float(tol)
-    return CCReport(residual, w, residual <= tol, tol)
+        nu = np.where(np.isfinite(top[:, 1]), np.ldexp(np.sqrt(gu_sq), e[:, 1]), math.inf)
+        # only the harmonic grad U can round to a nonzero vector at a total collision
+        collided = (q == q[:, :1]).all(axis=(1, 2)) if potential.kind == HARMONIC \
+            else np.zeros(size, bool)
+        failing = ~(np.isfinite(ni + nu) & np.isfinite(omega_squared)) | collided
+        if failing.any():
+            s = int(failing.argmax())
+            raise _cc_error(float(ni[s]), float(nu[s]), gu_sq[s] == 0.0 or collided[s])
+        return misfit / (1.0 + ni), omega_squared
 
 
 def _cc_error(ni: float, nu: float, degenerate: bool) -> Exception:
@@ -243,15 +290,17 @@ def _newton_step(x: np.ndarray, m: MassVector, potential: PotentialSpec, state,
     (no shift of the center of mass, no rotation about it) and their
     multiplier columns make the system square and regular at a
     nondegenerate critical point. The step writes into the refine's ``_newton_scratch``
-    only H_U - lam H_I, with H_U from the pair coefficients in ``state`` and H_I twice
-    the centering Hessian, the -/+ grad I border, the rotation-gauge row and column, and
-    -F; ``np.linalg.solve`` copies its inputs, so the scratch is never solved in place.
+    only H_U - lam H_I, the -/+ grad I border, the rotation-gauge row and column, and
+    -F. H_U, from the pair coefficients in ``state``, goes straight into the Jacobian's
+    top left, and 2 lam times the centering Hessian (H_I is twice it) is taken from it
+    in place; ``np.linalg.solve`` copies its inputs, so the scratch is never solved in
+    place.
     """
     gi, lam, f, coefficients = state
     jac, rhs, centering = scratch
     n2 = 2 * m.n
-    np.subtract(_hessian_rows(potential, x, m.m, coefficients), 2.0 * lam * centering,
-                out=jac[:n2, :n2])
+    hessian = _hessian_rows(potential, x, m.m, coefficients, out=jac[:n2, :n2])
+    hessian -= 2.0 * lam * centering
     np.negative(gi.reshape(n2), out=jac[:n2, n2])
     jac[n2, :n2] = gi.reshape(n2)
     turn = jac[n2 + 3, :n2]  # no rotation about the center of mass

@@ -398,46 +398,74 @@ def _pair_gradient(coefficients, n: int, keep: bool = False) -> np.ndarray:
 
 
 def _centering_hessian(mass: np.ndarray) -> np.ndarray:
-    """(diag m - m m^T / M) kron I_2: the Hessian of I is twice this, of harmonic U M times."""
+    """(diag m - m m^T / M) kron I_2: the Hessian of I is twice this, of harmonic U M times.
+    The products are those ``np.kron`` forms, block entry times I_2 entry, zeros signed alike."""
     block = np.diag(mass) - np.outer(mass, mass) / float(mass.sum())
-    return np.kron(block, np.eye(2))
+    n2 = 2 * len(mass)
+    return (block[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(n2, n2)
+
+
+@lru_cache(maxsize=8)
+def _hessian_gather(n: int):
+    """Index arrays that assemble the n x n blocks of the Hessian from a table of its P
+    pair blocks, in ``_scatter_pairs`` order, followed by its n diagonal blocks: row a of
+    ``partners`` (n, n - 1) names the pairs of body a in the order of the other body,
+    and ``blocks`` (n, n) names the block at (a, b), the pair of a and b or P + a on the
+    diagonal. Shared across calls, so no caller may write them."""
+    i, j = _scatter_pairs(n)
+    p = len(i)
+    blocks = np.empty((n, n), dtype=np.intp)
+    blocks[i, j] = blocks[j, i] = np.arange(p)
+    partners = blocks[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    blocks[np.diag_indices(n)] = np.arange(p, p + n)
+    return partners, blocks
 
 
 def _hessian_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray,
-                  coefficients=None) -> np.ndarray:
+                  coefficients=None, out=None) -> np.ndarray:
     """Exact Hessian of the potential, shape (2n, 2n), coordinate 2i + c for body i.
 
     Each pair i < j adds the 2x2 block B = c I_2 + (c'/r) d d^T, with
     d = q_i - q_j and c(r) the coefficient of ``_pair_coefficients``, to the
-    diagonal blocks (i, i) and (j, j), and -B to (i, j) and (j, i). Each pair writes
-    its own blocks and the diagonal sums the dense table, so the pair order is moot.
-    A caller that holds the pair ``coefficients`` of ``q``, taken with the absolute
-    collision threshold and with c kept (``_pair_gradient(..., keep=True)``), passes
-    them in, and the Hessian is the same bit for bit.
+    diagonal blocks (i, i) and (j, j), and -B to (i, j) and (j, i). The blocks -B are
+    formed once per pair, the diagonal ones sum their row's blocks in body order, and
+    one gather (``_hessian_gather``) writes all n x n blocks straight into the (n, 2, n,
+    2) view of ``out``: a (2n, 2n) array or a view of one, such as the top left of a
+    larger matrix, which is returned; a fresh one when None. A caller that holds the
+    pair ``coefficients`` of ``q``, taken with the absolute collision threshold and with
+    c kept (``_pair_gradient(..., keep=True)``), passes them in, and the Hessian is the
+    same bit for bit.
     """
+    n = q.shape[0]
+    if out is None:
+        out = np.empty((2 * n, 2 * n))
     if potential.kind == HARMONIC:
-        return float(mass.sum()) * _centering_hessian(mass)
+        return np.multiply(float(mass.sum()), _centering_hessian(mass), out=out)
     if coefficients is None:
         coefficients = _pair_coefficients(potential, q, mass)
     # d d^T = 0 at a coincident pair, where rr = 1 passes it through
     i, j, dx, dy, rr, alpha, c = coefficients
     c_over_r = (alpha - 2.0) * c / (rr * rr)
+    p = len(c)
+    block = np.empty((p + n, 2, 2))  # -B of each pair, then the diagonal blocks
     # B entry by entry, c + (c'/r) d_a d_b on the diagonal and c * 0 + (c'/r) dx dy off
     # it, which keeps the sign a zero entry has in c I_2 + (c'/r) d d^T
-    block = np.empty((len(c), 2, 2))
-    xx, xy, yy = block[:, 0, 0], block[:, 0, 1], block[:, 1, 1]
+    pairs = block[:p]
+    xx, xy, yy = pairs[:, 0, 0], pairs[:, 0, 1], pairs[:, 1, 1]
     for entry, a, b, diagonal in ((xx, dx, dx, c), (xy, dx, dy, c * 0.0), (yy, dy, dy, c)):
         np.multiply(a, b, out=entry)
         entry *= c_over_r
         entry += diagonal
-    block[:, 1, 0] = xy
-    np.negative(block, out=block)
-    n = q.shape[0]
-    hess = np.zeros((n, n, 2, 2))
-    hess[i, j] = hess[j, i] = block
-    # every block row sums to zero, since U does not change under translation
-    np.negative(hess.sum(axis=1), out=hess.reshape(n * n, 2, 2)[::n + 1])
-    return hess.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    pairs[:, 1, 0] = xy
+    np.negative(pairs, out=pairs)
+    # every block row sums to zero, since U does not change under translation: the sum
+    # runs over the other bodies in turn from +0.0, as a dense row's sum over all
+    # bodies does, whose 0 diagonal block changes no partial sum
+    partners, blocks = _hessian_gather(n)
+    np.negative(np.add.reduce(block.take(partners, axis=0), axis=1), out=block[p:])
+    # clip, since the default mode would write the blocks to a buffer and copy it
+    block.take(blocks, axis=0, out=out.reshape(n, 2, n, 2).transpose(0, 2, 1, 3), mode="clip")
+    return out
 
 
 def potential_gradient(potential: PotentialSpec, config, m) -> np.ndarray:

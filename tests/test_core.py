@@ -488,6 +488,27 @@ def test_pair_hessian_is_bit_identical_to_the_dense_form(rng, n):
                              dense_pair_hessian(potential, q, mass))
 
 
+@pytest.mark.parametrize("n", range(2, 31))
+def test_centering_hessian_is_bit_identical_to_the_kron_form(rng, n):
+    # the same products, block entry times I_2 entry, so the zeros of I_2 sign alike
+    for mass in (rng.uniform(0.1, 10.0, n), rng.uniform(1e-3, 1e3, n), np.ones(n)):
+        block = np.diag(mass) - np.outer(mass, mass) / float(mass.sum())
+        assert_same_bits(_centering_hessian(mass), np.kron(block, np.eye(2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_hessian_is_written_into_the_view_it_is_given(rng, n):
+    # the top left of a larger matrix, as a Newton step hands it over; nothing else moves
+    mass = rng.uniform(0.1, 10.0, n)
+    q = rng.uniform(-1.0, 1.0, (n, 2))
+    for potential in BIT_ORACLE_POTENTIALS + [HARMONIC]:
+        matrix = np.full((2 * n + 4, 2 * n + 4), 7.0)
+        top_left = matrix[:2 * n, :2 * n]
+        assert _hessian_rows(potential, q, mass, out=top_left) is top_left
+        assert_same_bits(top_left, _hessian_rows(potential, q, mass))
+        assert (matrix[2 * n:] == 7.0).all() and (matrix[:, 2 * n:] == 7.0).all()
+
+
 def traced_peak(call) -> int:
     """Peak bytes numpy and Python hold during ``call``, after a warm-up call."""
     call()

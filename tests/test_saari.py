@@ -276,6 +276,25 @@ def test_verify_counterexample_scales_with_k():
     assert report.r14_squared_swing == pytest.approx(10.0, abs=1e-10)
 
 
+SCALES = [1e-100, 1e-50, 1e-12, 1e-8, 1e-4, 0.37, 1.0, 1e6, 1e8, 1e12, 1e30, 1e100]
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_verify_counterexample_gives_one_verdict_at_every_scale(k):
+    # the swing and the EOM error are bounded relative to 2k and sqrt(k): at k = 1e6
+    # and 1e12 the swing misses 2k by 1 ulp, which an absolute bound of 1e-10 refused
+    assert verify_counterexample(k, 2.0 * math.pi, 1e-3).verdict
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_a_grid_that_misses_the_witness_time_fails_the_certificate_at_every_scale(k):
+    # t_end = 1 samples t = 0.001 j, none of them pi/4, so the swing misses 2k by
+    # about 6e-7 relative; an absolute bound of 1e-10 passed it at k = 1e-8 and below
+    report = verify_counterexample(k, 1.0, 1e-3)
+    assert not report.passed_certificate and not report.verdict
+    assert abs(report.r14_squared_swing - 2.0 * k) > 1e-7 * k
+
+
 @pytest.mark.parametrize("y1, x3", [
     (lambda t: np.cos(3.0 * t), lambda t: np.sin(3.0 * t)),
     (lambda t: np.cos(2.0 * t), lambda t: 0.0 * t),
