@@ -31,11 +31,12 @@ from .core import (
     _hessian_rows,
     _inertia,
     _mass_weighted_offsets,
+    _number,
     _pair_coefficients,
     _pair_gradient,
     _pair_offsets,
+    _positive,
     _require_bodies,
-    _require_number,
 )
 from .errors import CollisionSingularity, DegenerateGradient, NoConvergence, ValidationError
 
@@ -123,14 +124,13 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
     differently.
     """
     config, m = _bodies(config, m)
-    _require_number(tol, "tol")
-    return _cc_residual(config.q, m.m, potential, tol)
+    return _cc_residual(config.q, m.m, potential, _number(tol, "tol"))
 
 
 def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol: float):
     """``cc_residual`` of checked positions ``q`` and masses ``mass``.
 
-    ``q`` is one (n, 2) configuration, which gives a CCReport, or an
+    ``q`` is one (n, 2) configuration, which gives a CCReport, or a harmonic
     (S, n, 2) stack, which gives ``_stacked_cc_residual``'s (S,) arrays.
     There are two paths because a refine calls this once per iterate on a
     handful of bodies, where each array call costs more than its arithmetic:
@@ -148,7 +148,7 @@ def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol:
     A grad U holding an inf or a NaN has |grad U| = inf.
     """
     if q.ndim == 3:
-        return _stacked_cc_residual(q, mass, potential)
+        return _stacked_cc_residual(q, mass)
     harmonic = potential.kind == HARMONIC
     n2 = 2 * len(q)
     # an overflow shows up in the norms; finite norms bound everything after them
@@ -158,7 +158,7 @@ def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol:
         try:
             with np.errstate(over="ignore" if harmonic else "raise"):
                 gu = _gradient_rows(potential, q, mass, relative=True).reshape(n2)
-        except FloatingPointError:  # see _stacked_cc_residual
+        except FloatingPointError:  # an overflowing r^3 would round a pair force to 0, not inf
             gu = None
         ni = math.sqrt(gi.dot(gi))  # |grad I|
         nu = sq = math.inf
@@ -184,7 +184,6 @@ def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol:
         gi -= w2 * gu  # grad I - w2 grad U, scaled
         misfit = _ldexp(math.sqrt(gi.dot(gi)), ei)
     residual = misfit / (1.0 + ni)
-    tol = float(tol)
     return CCReport(residual, omega_squared, residual <= tol, tol)
 
 
@@ -196,24 +195,18 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _stacked_cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec):
-    """The (S,) residual and w2 arrays of an (S, n, 2) stack ``q``; row s is central when
-    ``residual[s] <= tol``. A stack needs a gradient kernel that takes stacks, which the
-    harmonic one does. Each row equals its one-configuration ``_cc_residual`` bit for bit,
-    and a stack raises the error of its first failing row, as one call per row in row
-    order would."""
+def _stacked_cc_residual(q: np.ndarray, mass: np.ndarray):
+    """The (S,) residual and w2 arrays of an (S, n, 2) stack ``q`` under the harmonic
+    potential, whose gradient kernel takes stacks; row s is central when ``residual[s] <=
+    tol``. Each row equals its one-configuration ``_cc_residual`` bit for bit, and a stack
+    raises the error of its first failing row, as one call per row in row order would."""
     size, n2 = len(q), 2 * q.shape[-2]
     g = np.empty((size, 2, n2))  # grad I and grad U of each row, flattened
-    # an overflow shows up in the norms; finite norms bound everything after them
+    # an overflow shows up in the norms; finite norms bound everything after them, and the
+    # harmonic gradient divides by nothing, so its overflows stay inf or NaN
     with np.errstate(all="ignore"):
         gi = np.multiply(2.0, _mass_weighted_offsets(q, mass).reshape(size, n2), out=g[:, 0])
-        try:
-            # raised, since an overflowing r^3 would round a pair force to 0, not to inf;
-            # the harmonic gradient divides by nothing, so its overflows stay inf or NaN
-            with np.errstate(over="ignore" if potential.kind == HARMONIC else "raise"):
-                g[:, 1] = _gradient_rows(potential, q, mass, relative=True).reshape(size, n2)
-        except FloatingPointError:
-            g[:, 1] = math.inf
+        g[:, 1] = _gradient_rows(PotentialSpec.harmonic(), q, mass).reshape(size, n2)
         ni = np.sqrt(np.vecdot(gi, gi))  # |grad I|
         # inf or NaN where a gradient holds one, tested before frexp, whose exponent
         # of an inf or a NaN is unspecified
@@ -228,9 +221,8 @@ def _stacked_cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSp
         # not finite exactly when w2 is undetermined or itself reaches 2^1024
         omega_squared = np.ldexp(w2, e[:, 0] - e[:, 1])
         nu = np.where(np.isfinite(top[:, 1]), np.ldexp(np.sqrt(gu_sq), e[:, 1]), math.inf)
-        # only the harmonic grad U can round to a nonzero vector at a total collision
-        collided = (q == q[:, :1]).all(axis=(1, 2)) if potential.kind == HARMONIC \
-            else np.zeros(size, bool)
+        # the harmonic grad U can round to a nonzero vector at a total collision
+        collided = (q == q[:, :1]).all(axis=(1, 2))
         failing = ~(np.isfinite(ni + nu) & np.isfinite(omega_squared)) | collided
         if failing.any():
             s = int(failing.argmax())
@@ -263,7 +255,7 @@ def _lagrange_residual(x: np.ndarray, m: MassVector, potential: PotentialSpec):
     if potential.kind == HARMONIC:
         coefficients, gu = None, _gradient_rows(potential, x, m.m)
     else:
-        coefficients = _pair_coefficients(potential, x, m.m)
+        coefficients = _pair_coefficients(potential, x, m.m, relative=True)  # as the verdict
         gu = _pair_gradient(coefficients, m.n, keep=True)
     lam = float((gu * gi).sum()) / float((gi * gi).sum())
     return gi, lam, gu - lam * gi, coefficients
@@ -365,16 +357,14 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
     ``cc_residual`` of the configuration it returns. NoConvergence carries
     the steps taken and that residual, and names the rounding floor at
     q_cm when the stalled iterate is central only in the q_cm frame.
-    Raises ValidationError on ``k`` or ``tol`` unless a number, on ``max_iter``
-    unless it is a non-negative integer, on ``q`` when the start's inertia
-    overflows, and on ``k`` when q_cm is so large that a configuration of
-    inertia k cannot be told apart from its rounding.
+    Raises ValidationError on ``k`` unless a positive number, on ``tol`` unless
+    a number, on ``max_iter`` unless it is a non-negative integer, on ``q`` when
+    the start's inertia overflows, and on ``k`` when q_cm is so large that a
+    configuration of inertia k cannot be told apart from its rounding.
     """
     config0, m = _bodies(config0, m)
-    _require_number(k, "k")
-    _require_number(tol, "tol")
-    if not np.isfinite(k) or k <= 0.0:
-        raise ValidationError("k", "must be positive")
+    k = _positive(k, "k", "must be positive")
+    tol = _number(tol, "tol")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValidationError("max_iter", "must be a non-negative integer")
     with np.errstate(over="ignore"):
@@ -422,16 +412,13 @@ def theorem1_family(k: float, eta: float) -> PlanarConfiguration:
     potential, and distinct eta in (0, pi/2] give rotationally
     inequivalent shapes.
     """
-    _require_number(eta, "eta")
-    return PlanarConfiguration(_family_positions(k, [eta])[0])
+    eta = _number(eta, "eta")
+    return PlanarConfiguration(_family_positions(_positive(k, "k", "must be positive"), [eta])[0])
 
 
 def _family_positions(k: float, etas) -> np.ndarray:
-    """Read-only (S, 3, 2) positions of ``theorem1_family`` at the S ``etas``, with
-    libm's cos and sin, which round alike on every platform, unlike numpy's SIMD loops."""
-    _require_number(k, "k")
-    if not np.isfinite(k) or k <= 0.0:
-        raise ValidationError("k", "must be positive")
+    """Read-only (S, 3, 2) positions of ``theorem1_family`` at a checked ``k`` and the S
+    ``etas``, with libm's cos and sin, which round alike everywhere, unlike numpy's SIMD."""
     if not np.isfinite(etas).all():
         raise ValidationError("eta", "must be finite")
     q = np.zeros((len(etas), 3, 2))
@@ -465,21 +452,20 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     only the failures are formatted: each failing sample's residual line,
     then its inertia line, then the unseparated pairs.
     """
-    _require_number(n_samples, "n_samples")
+    n_samples = _number(n_samples, "n_samples")
     if not 2 <= n_samples <= MAX_FAMILY_SAMPLES or int(n_samples) != n_samples:
         raise ValidationError("n_samples", f"need 2 to {MAX_FAMILY_SAMPLES} samples")
     n_samples = int(n_samples)
-    _require_number(tol, "tol")
-    tol = float(tol)
+    tol = _number(tol, "tol")
+    k = _positive(k, "k", "must be positive")
 
     masses = family_masses()
     etas = [(math.pi / 2.0) * j / n_samples for j in range(1, n_samples + 1)]
     try:  # before the r23 screen could overflow
         stack = _family_positions(k, etas)
         residual, omega_squared = _cc_residual(stack, masses.m, PotentialSpec.harmonic(), tol)
-    except ValidationError as exc:  # "k: must be positive", else an overflow at too large a k
-        raise exc if exc.field == "k" else ValidationError(
-            "k", "too large: the family's gradients overflow") from None
+    except ValidationError:  # positions or gradients that overflow at too large a k
+        raise ValidationError("k", "too large: the family's gradients overflow") from None
     with np.errstate(over="ignore"):  # its pair sum, 2 M k, overflows first
         inertia = _inertia(stack, masses.m)
     if not np.isfinite(inertia).all():
@@ -498,7 +484,7 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     for i, j in unseparated:
         failures.append(f"samples eta={etas[i]:.6f} and eta={etas[j]:.6f} "
                         f"are not told apart: r23 within {margin:.3e}")
-    return ContinuumReport(float(k), _frozen(np.array(etas)), stack, _frozen(residual),
+    return ContinuumReport(k, _frozen(np.array(etas)), stack, _frozen(residual),
                            _frozen(omega_squared), _frozen(r23), tol, not failures,
                            tuple(failures))
 

@@ -41,6 +41,7 @@ from .core import (
     PhaseState,
     PotentialSpec,
     _bodies,
+    _number as _real,
     _pair_offsets,
     moment_of_inertia,
 )
@@ -119,12 +120,7 @@ def _fmt(value) -> str:
 def _number(value, fieldname: str) -> float:
     """A JSON number as a finite double: no NaN/Infinity literal, no integer
     beyond the double range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(fieldname, "expected a number")
-    try:
-        out = float(value)
-    except OverflowError:  # an integer beyond the double range
-        raise ValidationError(fieldname, "must be finite") from None
+    out = _real(value, fieldname)
     if not math.isfinite(out):
         raise ValidationError(fieldname, "must be finite")
     return out
@@ -318,7 +314,7 @@ def cmd_cc_refine(scenario: Scenario, k: float) -> RunReport:
                         tol=scenario.tolerances.get("refine", 1e-10))
     rep = cc_residual(refined, scenario.masses, scenario.potential)
     report = RunReport("cc-refine")
-    report.measurements["k"] = float(k)
+    report.measurements["k"] = k  # argparse's float
     report.measurements["residual"] = rep.residual
     report.measurements["omega_squared"] = rep.omega_squared
     report.measurements["I"] = moment_of_inertia(refined, scenario.masses)

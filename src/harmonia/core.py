@@ -11,6 +11,7 @@ contrast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,11 +44,23 @@ def _require_bodies(ok: np.ndarray, field: str, reason: str) -> None:
         raise ValidationError(f"{field}[{i}]", reason)
 
 
-def _require_number(value, field: str) -> None:
-    """Raise ValidationError on ``field`` unless ``value`` is an int or a float (numpy's
-    included), before any arithmetic on it; a bool is refused, though it is an int."""
+def _number(value, field: str) -> float:
+    """The one gate of every real parameter: ``value``, an int or float (numpy's too) but no
+    bool, as a float, else ValidationError on ``field``. An int past the doubles is +/-inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError(field, "expected a number")
+    try:
+        return float(value)
+    except OverflowError:  # the sign by comparison, as math.copysign would raise it too
+        return math.inf if value > 0 else -math.inf
+
+
+def _positive(value, field: str, reason: str) -> float:
+    """``_number`` of a parameter that must be finite and positive, else ``reason``."""
+    value = _number(value, field)
+    if not 0.0 < value < math.inf:
+        raise ValidationError(field, reason)
+    return value
 
 
 def rotation(angle) -> np.ndarray:
@@ -117,10 +130,11 @@ class PhaseState:
         if v.shape != config.q.shape:
             raise ValidationError("v", "velocities must match positions in shape")
         _require_bodies(np.isfinite(v), "v", "velocity must be finite")
-        if not np.isfinite(self.t):
+        t = _number(self.t, "t")
+        if not math.isfinite(t):
             raise ValidationError("t", "time must be finite")
         object.__setattr__(self, "v", _frozen(v))
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", t)
 
 
 @dataclass(frozen=True)
@@ -140,15 +154,15 @@ class PotentialSpec:
         if self.kind not in POTENTIAL_KINDS:
             raise ValidationError("kind", f"unknown potential {self.kind!r}")
         if self.kind == POWER:
-            for value, field in ((self.exponent, "exponent"), (self.coupling, "coupling")):
-                if value is not None:
-                    _require_number(value, field)
-            if self.exponent is None or not np.isfinite(self.exponent) or self.exponent == 0.0:
+            # a missing parameter fails its range rule, as NaN does
+            exponent = math.nan if self.exponent is None else _number(self.exponent, "exponent")
+            coupling = math.nan if self.coupling is None else _number(self.coupling, "coupling")
+            if not math.isfinite(exponent) or exponent == 0.0:
                 raise ValidationError("exponent", "power law needs a finite nonzero exponent")
-            if self.coupling is None or not np.isfinite(self.coupling) or self.coupling <= 0.0:
+            if not 0.0 < coupling < math.inf:
                 raise ValidationError("coupling", "power law needs a positive coupling")
-            object.__setattr__(self, "exponent", float(self.exponent))
-            object.__setattr__(self, "coupling", float(self.coupling))
+            object.__setattr__(self, "exponent", exponent)
+            object.__setattr__(self, "coupling", coupling)
         else:
             if self.exponent is not None or self.coupling is not None:
                 raise ValidationError("kind", f"{self.kind} takes no parameters")
@@ -432,7 +446,7 @@ def _hessian_rows(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray,
     one gather (``_hessian_gather``) writes all n x n blocks straight into the (n, 2, n,
     2) view of ``out``: a (2n, 2n) array or a view of one, such as the top left of a
     larger matrix, which is returned; a fresh one when None. A caller that holds the
-    pair ``coefficients`` of ``q``, taken with the absolute collision threshold and with
+    pair ``coefficients`` of ``q``, taken with either collision threshold and with
     c kept (``_pair_gradient(..., keep=True)``), passes them in, and the Hessian is the
     same bit for bit.
     """

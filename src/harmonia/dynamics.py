@@ -31,8 +31,9 @@ from .core import (
     _frozen,
     _gradient_rows,
     _inertia,
+    _number,
+    _positive,
     _potential,
-    _require_number,
     as_mass_vector,
 )
 from .errors import NonFiniteState, ValidationError
@@ -70,17 +71,15 @@ class IntegratorSpec:
     def __post_init__(self) -> None:
         if self.method not in INTEGRATION_METHODS:
             raise ValidationError("method", f"unknown integrator {self.method!r}")
-        for name in ("dt", "t_end", "sample_stride"):
-            _require_number(getattr(self, name), name)
-        if not np.isfinite(self.dt) or self.dt <= 0.0:
-            raise ValidationError("dt", "step size must be positive")
-        if not np.isfinite(self.t_end) or self.t_end < self.dt:
+        dt = _positive(self.dt, "dt", "step size must be positive")
+        t_end, stride = (_number(getattr(self, name), name) for name in ("t_end", "sample_stride"))
+        if not dt <= t_end < math.inf:
             raise ValidationError("t_end", "must cover at least one step")
-        if not 1 <= self.sample_stride < math.inf or int(self.sample_stride) != self.sample_stride:
+        if not 1.0 <= stride < math.inf or int(stride) != stride:
             raise ValidationError("sample_stride", "must be a positive integer")
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "sample_stride", int(self.sample_stride))
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "sample_stride", int(stride))
         # compared as a float, so a subnormal dt gives inf, not an int overflow
         if self.t_end / self.dt > MAX_STEPS:
             raise ValidationError("dt", f"run would exceed {MAX_STEPS} steps")
@@ -342,9 +341,7 @@ def build_theorem2_state(k: float) -> PhaseState:
     I = k for every t while the shape breathes between two degenerate
     segments, so the solution has constant inertia yet never rotates rigidly.
     """
-    if not np.isfinite(k) or k <= 0.0:
-        raise ValidationError("k", "must be positive")
-    amp = math.sqrt(k / 2.0)
+    amp = math.sqrt(_positive(k, "k", "must be positive") / 2.0)
     q = np.array([[0.0, amp], [0.0, 0.0], [0.0, 0.0], [0.0, -amp]])
     v = np.array([[0.0, 0.0], [-2.0 * amp, 0.0], [2.0 * amp, 0.0], [0.0, 0.0]])
     return PhaseState(q, v)

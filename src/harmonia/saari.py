@@ -24,7 +24,9 @@ from .core import (
     PotentialSpec,
     _cm_offsets,
     _gradient_rows,
+    _number,
     _pair_offsets,
+    _positive,
     rotation,
 )
 from .dynamics import (
@@ -151,9 +153,10 @@ def is_relative_equilibrium(traj: Trajectory, tol: float = 1e-6) -> RigidityResu
     below tol * sqrt(I(t0)). Also
     reports the cheap necessary condition: the largest swing of any pair distance.
     """
+    tol = _number(tol, "tol")
     _, offsets = _cm_offsets(traj.q, traj.m.m)
     _require_finite(center_of_mass_offset=float(np.abs(offsets).max()))
-    threshold = float(tol) * math.sqrt(float(traj.inertia[0]))
+    threshold = tol * math.sqrt(float(traj.inertia[0]))
     residuals = _rigid_residuals(offsets, offsets[0], traj.m)
     worst = int(residuals.argmax())
     defect = float(residuals[worst])
@@ -180,6 +183,8 @@ def saari_check(traj: Trajectory, tol_inertia: float = 1e-8,
     rigidity defect is not finite (positions too far out for doubles),
     since no class can be read from NaN.
     """
+    tol_inertia = _number(tol_inertia, "tol_inertia")
+    tol_rigidity = _number(tol_rigidity, "tol_rigidity")
     with np.errstate(over="ignore", invalid="ignore"):
         ivar = inertia_variation(traj)
         rigidity = is_relative_equilibrium(traj, tol_rigidity)
@@ -197,8 +202,8 @@ def saari_check(traj: Trajectory, tol_inertia: float = 1e-8,
         certificate_time=rigidity.worst_time,
         certificate_pair=rigidity.worst_pair,
         certificate_variation=rigidity.max_pair_variation,
-        tol_inertia=float(tol_inertia),
-        tol_rigidity=float(tol_rigidity),
+        tol_inertia=tol_inertia,
+        tol_rigidity=tol_rigidity,
     )
 
 
@@ -227,10 +232,11 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
     included in the report.
     """
     integrator = IntegratorSpec(method, dt, t_end)
+    k = _positive(k, "k", "must be positive")
     state0 = build_theorem2_state(k)
     masses = rhombus_masses()
     harmonic = PotentialSpec.harmonic()
-    times = np.linspace(0.0, t_end, 1001)
+    times = np.linspace(0.0, integrator.t_end, 1001)
     closed = rhombus_trajectory(k, times)
 
     # (a) equations of motion along the closed form, against its second
@@ -267,7 +273,7 @@ def verify_counterexample(k: float, t_end: float = 2.0 * math.pi,
     passed_not_re = (not rigidity.is_re) and rigidity.defect > 1e-2 * math.sqrt(k)
     passed_certificate = abs(swing - 2.0 * k) <= 1e-10 * k
     return CounterexampleReport(
-        k=float(k),
+        k=k,
         method=method,
         eom_max_error=eom_err,
         inertia_variation_closed=ivar_closed,

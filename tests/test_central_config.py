@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 from harmonia import (
     CollisionSingularity,
     DegenerateGradient,
+    HarmoniaError,
     IntegratorSpec,
     MassVector,
     NoConvergence,
+    PhaseState,
     PlanarConfiguration,
     PotentialSpec,
     Trajectory,
     ValidationError,
+    build_theorem2_state,
     cc_residual,
     family_masses,
     inertia_gradient,
@@ -27,8 +30,11 @@ from harmonia import (
     potential_energy,
     potential_gradient,
     refine_cc,
+    rhombus_trajectory,
+    saari_check,
     theorem1_family,
     verify_continuum,
+    verify_counterexample,
 )
 from harmonia import central_config
 from harmonia.central_config import MAX_FAMILY_SAMPLES, _cc_residual, _unseparated_pairs
@@ -293,6 +299,19 @@ def test_refine_stalls_on_a_singular_newton_system(monkeypatch):
     assert err.value.iterations == 0
 
 
+@pytest.mark.parametrize("k", [1e-26, 1e-30])
+def test_refine_judges_collisions_in_its_newton_steps_relative_to_size(k):
+    # every pair of a triangle of inertia 1e-26 lies below the absolute 1e-12, so the
+    # Newton steps, like the verdict, must judge a collision relative to the triangle's size
+    start = np.array([[0.0, 0.0], [1e-13, 0.0], [0.2e-13, 0.9e-13]])
+    refined = refine_cc(start, M3, NEWTONIAN, k, tol=1e-16)
+    assert cc_residual(refined, M3, NEWTONIAN, 1e-16).is_cc
+    assert abs(moment_of_inertia(refined, M3) - k) <= 1e-12 * k
+    with pytest.raises(NoConvergence) as err:
+        refine_cc(start, M3, NEWTONIAN, k, tol=0.0)
+    assert str(err.value).startswith("line search stalled at residual ")
+
+
 NEAR_LAGRANGE = np.array([[0.0, 0.0], [1.02, 0.01], [0.5, 0.85]])
 
 
@@ -542,15 +561,65 @@ def test_verify_continuum_rejects_sample_counts_out_of_range(n_samples):
     (lambda: refine_cc(equilateral(), M3, NEWTONIAN, 1.0, tol="1e-9"), "tol"),
     (lambda: verify_continuum(1.0, 8, tol="1e-12"), "tol"),
     (lambda: verify_continuum(1.0, 8, tol=False), "tol"),
+    (lambda: build_theorem2_state("1"), "k"),
+    (lambda: build_theorem2_state(True), "k"),
+    (lambda: verify_counterexample("1"), "k"),
+    (lambda: PhaseState(equilateral(), np.zeros((3, 2)), "0"), "t"),
+    (lambda: is_relative_equilibrium(rhombus(), tol="1e-6"), "tol"),
+    (lambda: saari_check(rhombus(), tol_inertia="1e-8"), "tol_inertia"),
+    (lambda: saari_check(rhombus(), tol_rigidity=True), "tol_rigidity"),
 ], ids=["continuum-n_samples-str", "continuum-n_samples-bool", "continuum-k-str",
         "continuum-k-bool", "family-k-None", "refine-k-str", "refine-k-bool", "spec-dt-str",
         "spec-dt-bool", "spec-t_end-list", "spec-stride-str", "spec-stride-bool",
         "family-eta-str", "family-eta-None", "power-exponent-str", "power-coupling-bool",
-        "cc-tol-str", "refine-tol-str", "continuum-tol-str", "continuum-tol-bool"])
+        "cc-tol-str", "refine-tol-str", "continuum-tol-str", "continuum-tol-bool",
+        "theorem2-k-str", "theorem2-k-bool", "counterexample-k-str", "state-t-str",
+        "re-tol-str", "saari-tol_inertia-str", "saari-tol_rigidity-bool"])
 def test_numeric_parameters_of_the_wrong_type_are_validation_errors(call, field):
     with pytest.raises(ValidationError) as err:
         call()
     assert (err.value.field, err.value.reason) == (field, "expected a number")
+
+
+def rhombus():
+    return rhombus_trajectory(1.0, np.linspace(0.0, 1.0, 11))
+
+
+REAL_PARAMETERS = {
+    "refine-k": lambda x: refine_cc(equilateral(), M3, NEWTONIAN, x),
+    "refine-tol": lambda x: refine_cc(equilateral(), M3, NEWTONIAN, 1.0, tol=x),
+    "cc-tol": lambda x: cc_residual(equilateral(), M3, NEWTONIAN, x),
+    "family-k": lambda x: theorem1_family(x, 0.3),
+    "family-eta": lambda x: theorem1_family(1.0, x),
+    "continuum-k": lambda x: verify_continuum(x, 8),
+    "continuum-tol": lambda x: verify_continuum(1.0, 8, tol=x),
+    "spec-dt": lambda x: IntegratorSpec("rk4", x, 1.0),
+    "spec-t_end": lambda x: IntegratorSpec("rk4", 0.1, x),
+    "spec-stride": lambda x: IntegratorSpec("rk4", 0.1, 1.0, sample_stride=x),
+    "state-t": lambda x: PhaseState(equilateral(), np.zeros((3, 2)), x),
+    "power-exponent": lambda x: PotentialSpec.power(x, 1.0),
+    "power-coupling": lambda x: PotentialSpec.power(2.0, x),
+    "theorem2-k": lambda x: build_theorem2_state(x),
+    "rhombus-k": lambda x: rhombus_trajectory(x, [0.0, 1.0]),
+    "counterexample-k": lambda x: verify_counterexample(x),
+    "counterexample-t_end": lambda x: verify_counterexample(1.0, x),
+    "counterexample-dt": lambda x: verify_counterexample(1.0, dt=x),
+    "re-tol": lambda x: is_relative_equilibrium(rhombus(), x),
+    "saari-tol_inertia": lambda x: saari_check(rhombus(), tol_inertia=x),
+    "saari-tol_rigidity": lambda x: saari_check(rhombus(), tol_rigidity=x),
+}
+
+
+@pytest.mark.parametrize("call", REAL_PARAMETERS.values(), ids=REAL_PARAMETERS.keys())
+def test_an_integer_past_the_double_range_acts_as_an_infinity(call):
+    def outcome(x):
+        try:
+            return repr(call(x))
+        except HarmoniaError as exc:  # a refine with tol = -inf runs out of steps
+            return type(exc).__name__, str(exc)
+
+    assert outcome(10 ** 400) == outcome(math.inf)
+    assert outcome(-10 ** 400) == outcome(-math.inf)
 
 
 def test_continuum_reports_compare_by_identity():
