@@ -30,6 +30,7 @@ from .core import (
     _gradient_rows,
     _hessian_rows,
     _inertia,
+    _instance,
     _mass_weighted_offsets,
     _number,
     _pair_coefficients,
@@ -124,31 +125,25 @@ def cc_residual(config, m, potential: PotentialSpec, tol: float = 1e-9) -> CCRep
     differently.
     """
     config, m = _bodies(config, m)
+    potential = _instance(potential, PotentialSpec, "potential")
     return _cc_residual(config.q, m.m, potential, _number(tol, "tol"))
 
 
 def _cc_residual(q: np.ndarray, mass: np.ndarray, potential: PotentialSpec, tol: float):
-    """``cc_residual`` of checked positions ``q`` and masses ``mass``.
+    """``cc_residual`` of one checked (n, 2) configuration ``q`` with masses ``mass``.
 
-    ``q`` is one (n, 2) configuration, which gives a CCReport, or a harmonic
-    (S, n, 2) stack, which gives ``_stacked_cc_residual``'s (S,) arrays.
-    There are two paths because a refine calls this once per iterate on a
-    handful of bodies, where each array call costs more than its arithmetic:
-    one configuration works on the flat (2n,) rows of grad I and grad U and
-    keeps every scalar a float, while a stack reduces all rows at once.
+    A family's stack has its own path, ``_stacked_cc_residual``, because a refine
+    calls this once per iterate on a handful of bodies, where each array call
+    costs more than its arithmetic: here the flat (2n,) rows of grad I and grad U
+    keep every scalar a float, while a stack reduces all rows at once.
     Both round alike, bit for bit: a 1-D ``ndarray.dot`` is the BLAS dot
     that a stack's ``np.vecdot`` rows reach, the power-of-two scales come
     from the same exponents, and each scalar step is one IEEE operation on
     floats as on arrays. ``math.ldexp`` raises OverflowError where
     ``np.ldexp`` gives inf, and a float division by 0 raises, so ``_ldexp``
     and the degenerate test before w2 stand in for the array semantics.
-    |grad I| is the plain norm, so positions whose |grad I|^2 overflows are
-    refused; |grad U| is read off the scaled grad U, so a grad U whose
-    square alone overflows (a singular potential at a small scale) passes.
     A grad U holding an inf or a NaN has |grad U| = inf.
     """
-    if q.ndim == 3:
-        return _stacked_cc_residual(q, mass)
     harmonic = potential.kind == HARMONIC
     n2 = 2 * len(q)
     # an overflow shows up in the norms; finite norms bound everything after them
@@ -197,17 +192,17 @@ def _ldexp(x: float, e: int) -> float:
 
 def _stacked_cc_residual(q: np.ndarray, mass: np.ndarray):
     """The (S,) residual and w2 arrays of an (S, n, 2) stack ``q`` under the harmonic
-    potential, whose gradient kernel takes stacks; row s is central when ``residual[s] <=
-    tol``. Each row equals its one-configuration ``_cc_residual`` bit for bit, and a stack
-    raises the error of its first failing row, as one call per row in row order would."""
+    potential, whose grad I = 2 w and grad U = M w share the mass-weighted offsets w; row s
+    is central when ``residual[s] <= tol``. Each row equals its one-configuration
+    ``_cc_residual`` bit for bit, and a stack raises the error of its first failing row, as
+    one call per row in row order would."""
     size, n2 = len(q), 2 * q.shape[-2]
-    g = np.empty((size, 2, n2))  # grad I and grad U of each row, flattened
     # an overflow shows up in the norms; finite norms bound everything after them, and the
     # harmonic gradient divides by nothing, so its overflows stay inf or NaN
     with np.errstate(all="ignore"):
-        gi = np.multiply(2.0, _mass_weighted_offsets(q, mass).reshape(size, n2), out=g[:, 0])
-        g[:, 1] = _gradient_rows(PotentialSpec.harmonic(), q, mass).reshape(size, n2)
-        ni = np.sqrt(np.vecdot(gi, gi))  # |grad I|
+        # grad I = 2 w and grad U = M w of each row, flattened, as _gradient_rows forms it
+        g = _mass_weighted_offsets(q, mass).reshape(size, 1, n2) * [[2.0], [float(mass.sum())]]
+        ni = np.sqrt(np.vecdot(g[:, 0], g[:, 0]))  # |grad I|
         # inf or NaN where a gradient holds one, tested before frexp, whose exponent
         # of an inf or a NaN is unspecified
         top = np.abs(g).max(axis=-1)
@@ -248,28 +243,19 @@ def _rescale_to_inertia(x: np.ndarray, m: MassVector, k: float) -> np.ndarray:
 
 
 def _lagrange_residual(x: np.ndarray, m: MassVector, potential: PotentialSpec):
-    """grad I, the least-squares multiplier lam, and F = grad U - lam grad I at ``x``,
-    with the ``_pair_coefficients`` of ``x`` (None for the harmonic kind), which the
-    Newton step from ``x`` hands to the Hessian instead of sweeping the pairs again."""
-    gi = 2.0 * _mass_weighted_offsets(x, m.m)
+    """The Newton state at ``x``: flat (2n,) grad I, the least-squares multiplier lam,
+    flat F = grad U - lam grad I, the ``_pair_coefficients`` of ``x`` (None for the
+    harmonic kind), which the Newton step from ``x`` hands to the Hessian instead of
+    sweeping the pairs again, and |F|."""
+    gi = 2.0 * _mass_weighted_offsets(x, m.m).reshape(-1)
     if potential.kind == HARMONIC:
-        coefficients, gu = None, _gradient_rows(potential, x, m.m)
+        coefficients, gu = None, _gradient_rows(potential, x, m.m).reshape(-1)
     else:
         coefficients = _pair_coefficients(potential, x, m.m, relative=True)  # as the verdict
-        gu = _pair_gradient(coefficients, m.n, keep=True)
+        gu = _pair_gradient(coefficients, m.n, keep=True).reshape(-1)
     lam = float((gu * gi).sum()) / float((gi * gi).sum())
-    return gi, lam, gu - lam * gi, coefficients
-
-
-def _newton_scratch(m: MassVector):
-    """What every Newton step of one refine shares: the bordered Jacobian with its two
-    translation-gauge rows and columns written, the right-hand side, whose last four
-    entries stay 0, and the ``_centering_hessian``."""
-    n2 = 2 * m.n
-    jac = np.zeros((n2 + 4, n2 + 4))
-    jac[n2 + 1, 0:n2:2] = jac[0:n2:2, n2 + 1] = m.m
-    jac[n2 + 2, 1:n2:2] = jac[1:n2:2, n2 + 2] = m.m
-    return jac, np.zeros(n2 + 4), _centering_hessian(m.m)
+    f = gu - lam * gi
+    return gi, lam, f, coefficients, math.sqrt(f.dot(f))
 
 
 def _newton_step(x: np.ndarray, m: MassVector, potential: PotentialSpec, state,
@@ -281,32 +267,21 @@ def _newton_step(x: np.ndarray, m: MassVector, potential: PotentialSpec, state,
     as zero. F does not change under translation or rotation, so three gauge rows
     (no shift of the center of mass, no rotation about it) and their
     multiplier columns make the system square and regular at a
-    nondegenerate critical point. The step writes into the refine's ``_newton_scratch``
-    only H_U - lam H_I, the -/+ grad I border, the rotation-gauge row and column, and
-    -F. H_U, from the pair coefficients in ``state``, goes straight into the Jacobian's
-    top left, and 2 lam times the centering Hessian (H_I is twice it) is taken from it
-    in place; ``np.linalg.solve`` copies its inputs, so the scratch is never solved in
-    place.
+    nondegenerate critical point. H_I is twice the centering Hessian.
     """
-    gi, lam, f, coefficients = state
+    gi, lam, f, coefficients, _ = state
     jac, rhs, centering = scratch
-    n2 = 2 * m.n
+    n2 = len(gi)
     hessian = _hessian_rows(potential, x, m.m, coefficients, out=jac[:n2, :n2])
     hessian -= 2.0 * lam * centering
-    np.negative(gi.reshape(n2), out=jac[:n2, n2])
-    jac[n2, :n2] = gi.reshape(n2)
+    np.negative(gi, out=jac[:n2, n2])
+    jac[n2, :n2] = gi
     turn = jac[n2 + 3, :n2]  # no rotation about the center of mass
     np.multiply(-m.m, x[:, 1], out=turn[0::2])
     np.multiply(m.m, x[:, 0], out=turn[1::2])
     jac[:n2, n2 + 3] = turn
-    np.negative(f.reshape(n2), out=rhs[:n2])
+    np.negative(f, out=rhs[:n2])
     return np.linalg.solve(jac, rhs)[:n2].reshape(-1, 2)
-
-
-def _norm(f: np.ndarray) -> float:
-    """|F|, the double ``np.linalg.norm`` gives, without its dispatch."""
-    f = f.reshape(-1)
-    return math.sqrt(f.dot(f))
 
 
 def _damped_newton(x: np.ndarray, m: MassVector, potential: PotentialSpec, k: float, state,
@@ -321,14 +296,15 @@ def _damped_newton(x: np.ndarray, m: MassVector, potential: PotentialSpec, k: fl
         step = _newton_step(x, m, potential, state, scratch)
     except np.linalg.LinAlgError:
         return None
-    f0 = _norm(state[2])
+    *_, f0 = state
     for halving in range(30):
         try:
             trial = _rescale_to_inertia(x + 0.5 ** halving * step, m, k)
             trial_state = _lagrange_residual(trial, m, potential)
         except (CollisionSingularity, DegenerateGradient):  # a trial through a collision
             continue
-        if _norm(trial_state[2]) < f0:
+        *_, f = trial_state
+        if f < f0:
             return trial, trial_state
     return None
 
@@ -346,13 +322,6 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
     ellipsoid (the Lagrange configuration is one) are found as readily as
     minima.
 
-    Before its first step a refine builds, once, the ``_newton_scratch``: the
-    bordered Jacobian with its translation-gauge rows and columns, the
-    right-hand side and the centering Hessian. Each step writes only what moves
-    with the iterate (``_newton_step``), and its Hessian reads the pair
-    coefficients that the iterate's ``_lagrange_residual`` swept; every iterate
-    is bit for bit that of a step built afresh.
-
     Takes at most ``max_iter`` steps and judges convergence by
     ``cc_residual`` of the configuration it returns. NoConvergence carries
     the steps taken and that residual, and names the rounding floor at
@@ -363,6 +332,7 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
     configuration of inertia k cannot be told apart from its rounding.
     """
     config0, m = _bodies(config0, m)
+    potential = _instance(potential, PotentialSpec, "potential")
     k = _positive(k, "k", "must be positive")
     tol = _number(tol, "tol")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
@@ -391,7 +361,14 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
                                 iteration, report.residual)
         if state is None:
             state = _lagrange_residual(x, m, potential)
-            scratch = _newton_scratch(m)
+            # what every step shares: the Jacobian's two translation-gauge rows and columns,
+            # the right-hand side's zero tail and the centering Hessian; np.linalg.solve
+            # copies its inputs, so they are never solved in place
+            n2 = 2 * m.n
+            jac = np.zeros((n2 + 4, n2 + 4))
+            jac[n2 + 1, 0:n2:2] = jac[0:n2:2, n2 + 1] = m.m
+            jac[n2 + 2, 1:n2:2] = jac[1:n2:2, n2 + 2] = m.m
+            scratch = jac, np.zeros(n2 + 4), _centering_hessian(m.m)
         moved = _damped_newton(x, m, potential, k, state, scratch)
         if moved is None:
             floor = _cc_residual(x, m.m, potential, tol)
@@ -463,7 +440,7 @@ def verify_continuum(k: float, n_samples: int, tol: float = 1e-12) -> ContinuumR
     etas = [(math.pi / 2.0) * j / n_samples for j in range(1, n_samples + 1)]
     try:  # before the r23 screen could overflow
         stack = _family_positions(k, etas)
-        residual, omega_squared = _cc_residual(stack, masses.m, PotentialSpec.harmonic(), tol)
+        residual, omega_squared = _stacked_cc_residual(stack, masses.m)
     except ValidationError:  # positions or gradients that overflow at too large a k
         raise ValidationError("k", "too large: the family's gradients overflow") from None
     with np.errstate(over="ignore"):  # its pair sum, 2 M k, overflows first

@@ -63,6 +63,15 @@ def _positive(value, field: str, reason: str) -> float:
     return value
 
 
+def _instance(value, kind: type, field: str):
+    """The one gate of every argument of one of the package's types: ``value`` when it is
+    a ``kind``, else ValidationError on ``field``. Only public calls pass through it."""
+    if not isinstance(value, kind):
+        name = kind.__name__
+        raise ValidationError(field, f"expected {'an' if name[0] in 'AEIOU' else 'a'} {name}")
+    return value
+
+
 def rotation(angle) -> np.ndarray:
     """Counterclockwise rotation matrix for ``angle`` radians, (..., 2, 2) for angles (...)."""
     c = np.cos(angle)
@@ -348,7 +357,7 @@ def _inertia(q: np.ndarray, mass: np.ndarray):
 def potential_energy(potential: PotentialSpec, config, m) -> float:
     """Potential energy of the configuration under the selected potential."""
     config, m = _bodies(config, m)
-    return _potential(potential, config.q, m.m)
+    return _potential(_instance(potential, PotentialSpec, "potential"), config.q, m.m)
 
 
 def _potential(potential: PotentialSpec, q: np.ndarray, mass: np.ndarray):
@@ -488,7 +497,7 @@ def potential_gradient(potential: PotentialSpec, config, m) -> np.ndarray:
     For the harmonic kind this is M m_i (q_i - q_cm).
     """
     config, m = _bodies(config, m)
-    return _gradient_rows(potential, config.q, m.m)
+    return _gradient_rows(_instance(potential, PotentialSpec, "potential"), config.q, m.m)
 
 
 def inertia_gradient(config, m) -> np.ndarray:
@@ -499,6 +508,6 @@ def inertia_gradient(config, m) -> np.ndarray:
 
 def total_energy(potential: PotentialSpec, state: PhaseState, m) -> float:
     """Kinetic plus potential energy, H = (1/2) sum_i m_i |v_i|^2 + U."""
-    config, m = _bodies(state.config, m)
+    config, m = _bodies(_instance(state, PhaseState, "state").config, m)
     return 0.5 * float(m.m @ (state.v * state.v).sum(axis=1)) \
         + potential_energy(potential, config, m)

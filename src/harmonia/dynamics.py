@@ -31,6 +31,7 @@ from .core import (
     _frozen,
     _gradient_rows,
     _inertia,
+    _instance,
     _number,
     _positive,
     _potential,
@@ -106,6 +107,19 @@ def _owned(values) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
+def _finite_times(times) -> np.ndarray:
+    """``times`` as a float array of finite numbers; where numpy cannot cast them, each
+    passes the number gate, which refuses a string and takes an int past the doubles as inf."""
+    try:
+        times = np.array(times, dtype=float, ndmin=1)
+    except (OverflowError, TypeError, ValueError):
+        entries = np.array(times, dtype=object, ndmin=1)
+        times = np.array([_number(t, "times") for t in entries.flat]).reshape(entries.shape)
+    if not np.isfinite(times).all():
+        raise ValidationError("times", "samples must be finite")
+    return times
+
+
 def _chunked(kernel, q: np.ndarray) -> np.ndarray:
     """``kernel`` of each (S, n, 2) chunk of ``q``, at most _CHUNK_ELEMENTS n x n elements
     a chunk, concatenated: the (S,) series, each row as the one-sample call gives it."""
@@ -135,6 +149,7 @@ class Trajectory:
     m: MassVector
 
     def __post_init__(self) -> None:
+        _instance(self.potential, PotentialSpec, "potential")
         m = as_mass_vector(self.m)
         times, q, v = _owned(self.times), _owned(self.q), _owned(self.v)
         if times.ndim != 1 or times.size == 0:
@@ -256,13 +271,9 @@ def integrate(state0: PhaseState, integrator: IntegratorSpec,
     both integrators), and CollisionSingularity if a singular potential
     sees a pair separation below the collision threshold.
     """
-    if not isinstance(state0, PhaseState):
-        raise ValidationError("state0", "expected a PhaseState")
-    _, m = _bodies(state0.config, m)
-    if not isinstance(integrator, IntegratorSpec):
-        raise ValidationError("integrator", "expected an IntegratorSpec")
-
-    accel = _acceleration_function(potential, m)
+    _, m = _bodies(_instance(state0, PhaseState, "state0").config, m)
+    _instance(integrator, IntegratorSpec, "integrator")
+    accel = _acceleration_function(_instance(potential, PotentialSpec, "potential"), m)
     dt = integrator.dt
     n_steps = integrator.n_steps
     stride = integrator.sample_stride
@@ -309,21 +320,22 @@ def harmonic_flow(state0: PhaseState, m, times) -> Trajectory:
         v_i(tau) = v_cm - w dq_i sin(w tau) + dv_i cos(w tau)
 
     where dq_i and dv_i are body i's initial offsets from the center of mass.
-    At most MAX_SAMPLES samples times bodies are kept.
+    At most MAX_SAMPLES samples times bodies are kept. Every time must be a
+    finite number, else ValidationError on ``times`` before any trig.
     """
-    if not isinstance(state0, PhaseState):
-        raise ValidationError("state0", "expected a PhaseState")
-    _, m = _bodies(state0.config, m)
-    times = np.array(times, dtype=float, ndmin=1)
+    _, m = _bodies(_instance(state0, PhaseState, "state0").config, m)
+    times = _finite_times(times)
     _check_sample_budget(times.size, m.n, "times")
     omega = math.sqrt(m.total)
     q_cm, dq = _cm_offsets(state0.config.q, m.m)
     v_cm, dv = _cm_offsets(state0.v, m.m)
     tau = (times - state0.t)[:, None, None]
-    c = np.cos(omega * tau)
-    s = np.sin(omega * tau)
-    q = q_cm + v_cm * tau + dq * c + dv * s / omega
-    v = v_cm - omega * dq * s + dv * c
+    # a phase or a drift that overflows leaves q or v non-finite, which Trajectory refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.cos(omega * tau)
+        s = np.sin(omega * tau)
+        q = q_cm + v_cm * tau + dq * c + dv * s / omega
+        v = v_cm - omega * dq * s + dv * c
     return Trajectory(_frozen(times), _frozen(q), _frozen(v), PotentialSpec.harmonic(), m)
 
 

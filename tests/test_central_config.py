@@ -37,7 +37,13 @@ from harmonia import (
     verify_counterexample,
 )
 from harmonia import central_config
-from harmonia.central_config import MAX_FAMILY_SAMPLES, _cc_residual, _unseparated_pairs
+from harmonia.central_config import (
+    MAX_FAMILY_SAMPLES,
+    _cc_residual,
+    _rescale_to_inertia,
+    _stacked_cc_residual,
+    _unseparated_pairs,
+)
 from harmonia.core import _cm_offsets, rotation
 from harmonia.saari import _best_rotation
 from conftest import equilateral
@@ -171,7 +177,7 @@ def harmonic_stacks(draw):
 @given(system=harmonic_stacks())
 def test_stacked_harmonic_residual_rows_equal_the_one_configuration_call(system):
     stack, mass = system
-    residual, omega_squared = _cc_residual(stack, mass, HARMONIC, 1e-12)
+    residual, omega_squared = _stacked_cc_residual(stack, mass)
     assert residual.shape == omega_squared.shape == (len(stack),)
     for q, r, w in zip(stack, residual, omega_squared):
         report = _cc_residual(q, mass, HARMONIC, 1e-12)
@@ -204,7 +210,7 @@ def test_stacked_residual_raises_the_first_failing_rows_error():
     for rows in ([good, coincident, overflowing], [good, overflowing, coincident]):
         stack = np.stack(rows)
         per_row = raised(lambda: [_cc_residual(q, M3.m, HARMONIC, 1e-9) for q in stack])
-        assert raised(lambda: _cc_residual(stack, M3.m, HARMONIC, 1e-9)) == per_row
+        assert raised(lambda: _stacked_cc_residual(stack, M3.m)) == per_row
         assert per_row[0] is (DegenerateGradient if rows[1] is coincident else ValidationError)
 
 
@@ -257,6 +263,38 @@ def test_refine_harmonic_is_pure_rescale():
 def test_refine_from_collision_is_degenerate():
     with pytest.raises(DegenerateGradient):
         refine_cc([[0.0, 0.0]] * 3, M3, HARMONIC, 1.0)
+
+
+def test_rescaling_a_total_collision_is_degenerate():
+    with pytest.raises(DegenerateGradient, match="cannot rescale a total collision"):
+        _rescale_to_inertia(np.full((3, 2), 0.5), M3, 1.0)
+
+
+@pytest.mark.parametrize("error", [CollisionSingularity("bodies 1 and 2", (1, 2), 0.0),
+                                   DegenerateGradient("cannot rescale a total collision")],
+                         ids=["collision", "degenerate"])
+def test_the_line_search_halves_past_a_trial_that_raises(monkeypatch, error):
+    start = PlanarConfiguration(equilateral().q + [[0.03, -0.02], [0.0, 0.04], [-0.01, 0.0]])
+    rescale, trials = central_config._rescale_to_inertia, []
+
+    def failing(first):
+        def trial(x, m, k):
+            trials.append(x)
+            if len(trials) <= first:
+                raise error
+            return rescale(x, m, k)
+        return trial
+
+    # the full first step fails: its half is taken, and the refine still converges
+    monkeypatch.setattr(central_config, "_rescale_to_inertia", failing(1))
+    assert cc_residual(refine_cc(start, M3, NEWTONIAN, 1.0), M3, NEWTONIAN).residual <= 1e-10
+    assert len(trials) > 2
+    # every trial fails: the line search stalls at the start
+    trials.clear()
+    monkeypatch.setattr(central_config, "_rescale_to_inertia", failing(30))
+    with pytest.raises(NoConvergence, match="^line search stalled") as err:
+        refine_cc(start, M3, NEWTONIAN, 1.0)
+    assert (err.value.iterations, len(trials)) == (0, 30)
 
 
 @pytest.mark.parametrize("max_iter", [-1, 2.5])
@@ -620,6 +658,14 @@ def test_an_integer_past_the_double_range_acts_as_an_infinity(call):
 
     assert outcome(10 ** 400) == outcome(math.inf)
     assert outcome(-10 ** 400) == outcome(-math.inf)
+
+
+def test_continuum_names_each_sample_whose_inertia_misses_k(monkeypatch):
+    monkeypatch.setattr(central_config, "_inertia", lambda q, mass: np.full(len(q), 2.0))
+    report = verify_continuum(1.0, 4)
+    assert not report.verdict
+    assert report.failures == tuple(f"eta={eta:.6f}: inertia 2.0 misses k=1.0"
+                                    for eta in report.etas.tolist())
 
 
 def test_continuum_reports_compare_by_identity():

@@ -197,6 +197,19 @@ def test_simulate_newtonian_collision_is_clean(tmp_path, capsys):
     assert "error:" in capsys.readouterr().out
 
 
+def test_simulate_reports_an_undefined_inertia_variation_at_zero_inertia(tmp_path, capsys):
+    # both bodies start at the origin, flying apart
+    doc = dict(MINIMAL, positions=[[0.0, 0.0], [0.0, 0.0]], velocities=[[1.0, 0.0], [-1.0, 0.0]],
+               integrator={"method": "rk4", "dt": 0.01, "t_end": 0.1})
+    path = tmp_path / "burst.json"
+    path.write_text(scenario_text(doc))
+    code = main(["simulate", str(path), "--out", str(tmp_path / "out.csv")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert "inertia_variation undefined: zero inertia at start" in lines
+    assert not any(line.startswith("inertia_variation =") for line in lines)
+
+
 def test_csv_round_trip():
     scenario = parse_scenario(scenario_text(THEOREM2))
     sink = io.StringIO()
@@ -313,6 +326,12 @@ def test_reproduce_reports_are_deterministic(capsys):
     first = cmd_reproduce("theorem1").render()
     second = cmd_reproduce("theorem1").render()
     assert first == second
+
+
+def test_reproduce_refuses_an_unknown_theorem():
+    with pytest.raises(ValidationError) as err:
+        cmd_reproduce("theorem3")
+    assert (err.value.field, err.value.reason) == ("which", "must be theorem1 or theorem2")
 
 
 def test_missing_file_is_runtime_error(capsys):

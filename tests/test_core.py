@@ -16,6 +16,7 @@ from harmonia import (
     PhaseState,
     PlanarConfiguration,
     PotentialSpec,
+    Trajectory,
     ValidationError,
     cc_residual,
     harmonic_flow,
@@ -79,6 +80,15 @@ def test_configuration_rejects_bad_input():
         PlanarConfiguration([[0.0, float("inf")], [1.0, 0.0]])
 
 
+def test_a_mass_table_or_an_empty_configuration_is_refused():
+    with pytest.raises(ValidationError) as err:
+        MassVector([[1.0, 1.0], [1.0, 1.0]])
+    assert (err.value.field, err.value.reason) == ("m", "expected a flat sequence of masses")
+    with pytest.raises(ValidationError) as err:
+        PlanarConfiguration(np.zeros((0, 2)))
+    assert (err.value.field, err.value.reason) == ("q", "need at least one body")
+
+
 def test_phase_state_requires_matching_velocities():
     with pytest.raises(ValidationError):
         PhaseState(TRIANGLE, [[0.0, 0.0]])
@@ -105,6 +115,34 @@ def test_one_rule_names_the_first_failing_body():
     assert message(lambda: _require_bodies(finite, "q", "coordinates must be finite")) \
         == "q[2]: coordinates must be finite"
     _require_bodies(finite[:1], "q", "coordinates must be finite")
+
+
+AT_REST = PhaseState(TRIANGLE, np.zeros((3, 2)))
+RK4 = IntegratorSpec("rk4", 0.1, 1.0)
+SPEC_ARGUMENTS = {
+    "cc-potential": (lambda: cc_residual(TRIANGLE, M3, "harmonic"), "potential"),
+    "refine-potential": (lambda: refine_cc(TRIANGLE, M3, "newtonian", 1.0), "potential"),
+    "energy-potential": (lambda: potential_energy("harmonic", TRIANGLE, M3), "potential"),
+    "gradient-potential": (lambda: potential_gradient("harmonic", TRIANGLE, M3), "potential"),
+    "total-potential": (lambda: total_energy("harmonic", AT_REST, M3), "potential"),
+    "total-state": (lambda: total_energy(HARMONIC, TRIANGLE, M3), "state"),
+    "integrate-potential": (lambda: integrate(AT_REST, RK4, "harmonic", M3), "potential"),
+    "integrate-state0": (lambda: integrate(TRIANGLE, RK4, HARMONIC, M3), "state0"),
+    "integrate-integrator": (lambda: integrate(AT_REST, {"method": "rk4"}, HARMONIC, M3),
+                             "integrator"),
+    "trajectory-potential": (lambda: Trajectory([0.0], np.zeros((1, 3, 2)), np.zeros((1, 3, 2)),
+                                                "harmonic", M3), "potential"),
+    "flow-state0": (lambda: harmonic_flow(TRIANGLE, M3, [0.0]), "state0"),
+}
+SPEC_TYPES = {"potential": "a PotentialSpec", "state": "a PhaseState", "state0": "a PhaseState",
+              "integrator": "an IntegratorSpec"}
+
+
+@pytest.mark.parametrize("call, field", SPEC_ARGUMENTS.values(), ids=SPEC_ARGUMENTS.keys())
+def test_spec_arguments_of_the_wrong_type_are_validation_errors(call, field):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert (err.value.field, err.value.reason) == (field, f"expected {SPEC_TYPES[field]}")
 
 
 def test_potential_spec_validation():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,32 @@ def test_accelerations_match_force_oracle(draw_system):
     acc = accelerations(potential, config.q, masses)
     expected = -fd / masses.m[:, None]
     assert np.linalg.norm(acc - expected) <= 1e-6 * (1.0 + np.linalg.norm(acc))
+
+
+FLOWS = {
+    "harmonic_flow": lambda times: harmonic_flow(build_theorem2_state(1.0), rhombus_masses(), times),
+    "rhombus": lambda times: rhombus_trajectory(1.0, times),
+    "rotating": lambda times: rotating_re_trajectory(equilateral(), MassVector(np.ones(3)), times),
+}
+
+
+@pytest.mark.parametrize("flow", FLOWS.values(), ids=FLOWS.keys())
+@pytest.mark.parametrize("times, field, reason", [
+    ([0.0, 10 ** 400], "times", "samples must be finite"),
+    ([0.0, -10 ** 400], "times", "samples must be finite"),
+    ([0.0, math.inf], "times", "samples must be finite"),
+    ([0.0, math.nan], "times", "samples must be finite"),
+    (["a"], "times", "expected a number"),
+    ([[0.0, 1.0], [2.0]], "times", "expected a number"),
+    # finite times whose phase overflows leave the positions non-finite
+    ([0.0, 1.7e308], "q", "samples must be finite"),
+], ids=["huge-int", "huge-negative-int", "inf", "nan", "string", "ragged", "phase-overflow"])
+def test_the_harmonic_flow_refuses_bad_times_before_any_trig(flow, times, field, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            flow(times)
+    assert (err.value.field, err.value.reason) == (field, reason)
 
 
 def test_integrator_spec_rejects_bad_steps():
