@@ -26,6 +26,7 @@ from .core import (
     _bodies,
     _centering_hessian,
     _cm_offsets,
+    _finite_inertia,
     _frozen,
     _gradient_rows,
     _hessian_rows,
@@ -337,10 +338,7 @@ def refine_cc(config0, m, potential: PotentialSpec, k: float,
     tol = _number(tol, "tol")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValidationError("max_iter", "must be a non-negative integer")
-    with np.errstate(over="ignore"):
-        inertia = _inertia(config0.q, m.m)
-    if not math.isfinite(inertia):
-        raise ValidationError("q", f"inertia overflow: I = {inertia:.3e}")
+    inertia = _finite_inertia(config0.q, m.m)
     if inertia <= 0.0:
         raise DegenerateGradient("starting configuration is a total collision")
 

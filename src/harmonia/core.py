@@ -28,6 +28,14 @@ POTENTIAL_KINDS = (HARMONIC, NEWTONIAN, POWER)
 COLLISION_EPS = 1e-12
 # A relative collision threshold stays above 0, so that distances that all underflow collide.
 _LEAST_SEPARATION = float(np.finfo(float).tiny)
+# Dense n x n tables of more than this many rows are built in strips of this many rows
+# (150 kB a strip at n = 300). Measured bare at n = 300: 32 and 48 rows ran within about
+# 10% of 64, while 100 and 128 rows made ``_inertia`` about twice as slow.
+_STRIP_ROWS = 64
+# Index tuples that take an (..., n) array of coordinates or masses to the rows a and the
+# columns b of an (..., a, b) table, here of all n bodies each.
+_ROWS = (..., None)
+_COLS = (..., None, slice(None))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -219,15 +227,59 @@ def _bodies(config, m) -> tuple[PlanarConfiguration, MassVector]:
     return config, m
 
 
-def _distance_matrix(q: np.ndarray) -> np.ndarray:
-    """Dense n x n table of pair distances |q_i - q_j|, (..., n, n) for ``q`` (..., n, 2)."""
+def _distance_rows(q: np.ndarray, rows=_ROWS, cols=_COLS) -> np.ndarray:
+    """Distances |q_a - q_b| of the bodies a of ``rows`` to the bodies b of ``cols``,
+    (..., a, b) for ``q`` (..., n, 2); by default the n x n table."""
     x = q[..., 0]
     y = q[..., 1]
-    r = x[..., None] - x[..., None, :]  # dx, then r in the same buffer
-    dy = y[..., None] - y[..., None, :]
+    r = x[rows] - x[cols]  # dx, then r in the same buffer
+    dy = y[rows] - y[cols]
     r *= r
     r += np.multiply(dy, dy, out=dy)
     return np.sqrt(r, out=r)
+
+
+def _inertia_rows(q: np.ndarray, mass: np.ndarray, rows=_ROWS, cols=_COLS) -> np.ndarray:
+    """Terms (m_a m_b r_ab) r_ab of the bodies a of ``rows`` and b of ``cols``, as
+    ``_distance_rows``."""
+    r = _distance_rows(q, rows, cols)
+    terms = np.multiply(mass[rows], mass[cols], out=np.empty_like(r))  # w, then (w r) r
+    terms *= r
+    terms *= r
+    return terms
+
+
+def _symmetric_table(entries, q: np.ndarray, *args) -> np.ndarray:
+    """The (..., n, n) table of ``entries(q, *args, rows, cols)`` for ``q`` (..., n, 2),
+    whose entries (a, b) and (b, a) are equal bit for bit.
+
+    A table of n <= _STRIP_ROWS is one call over all rows and columns. A larger one is
+    built a strip of _STRIP_ROWS rows at a time, each strip from the diagonal rightwards:
+    the strip is copied into the table, and its part right of its diagonal block is
+    copied, transposed, below the diagonal. Both copies are exact, so the table holds
+    the bytes of the one call, and at its peak one table and the strip's buffers.
+    """
+    n = q.shape[-2]
+    if n <= _STRIP_ROWS:
+        return entries(q, *args)
+    table = np.empty(q.shape[:-1] + (n,))
+    for s in range(0, n, _STRIP_ROWS):
+        e = min(s + _STRIP_ROWS, n)
+        strip = entries(q, *args, (..., slice(s, e), None), (..., None, slice(s, None)))
+        table[..., s:e, s:] = strip
+        table[..., e:, s:e] = strip[..., e - s:].swapaxes(-1, -2)
+        del strip  # freed before the next strip is built
+    return table
+
+
+def _distance_matrix(q: np.ndarray) -> np.ndarray:
+    """Dense n x n table of pair distances |q_i - q_j|, (..., n, n) for ``q`` (..., n, 2).
+
+    The table is symmetric bit for bit: fl(x_b - x_a) = -fl(x_a - x_b) in IEEE
+    arithmetic and squaring drops the sign, so r_ba rounds as r_ab does, and past
+    _STRIP_ROWS bodies ``_symmetric_table`` computes only the upper triangle.
+    """
+    return _symmetric_table(_distance_rows, q)
 
 
 @lru_cache(maxsize=8)
@@ -330,10 +382,20 @@ def moment_of_inertia(config, m) -> float:
     """Canonical moment of inertia (1/M) sum_{i<j} m_i m_j r_ij^2.
 
     Depends only on the mutual distances, so it is invariant under any
-    rigid motion of the configuration.
+    rigid motion of the configuration. Raises ValidationError on ``q`` when
+    I overflows (positions too far out for doubles).
     """
     config, m = _bodies(config, m)
-    return _inertia(config.q, m.m)
+    return _finite_inertia(config.q, m.m)
+
+
+def _finite_inertia(q: np.ndarray, mass: np.ndarray) -> float:
+    """I of one configuration, else ValidationError on ``q`` when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inertia = _inertia(q, mass)
+    if not math.isfinite(inertia):
+        raise ValidationError("q", f"inertia overflow: I = {inertia:.3e}")
+    return inertia
 
 
 def _per_configuration(values: np.ndarray, q: np.ndarray):
@@ -346,11 +408,14 @@ def _per_configuration(values: np.ndarray, q: np.ndarray):
 # alone, so a stacked row rounds as its one-configuration call does.
 
 def _inertia(q: np.ndarray, mass: np.ndarray):
-    """I of one configuration (a float) or of each row of an (..., n, 2) stack."""
-    r = _distance_matrix(q)
-    terms = np.multiply(mass[:, None], mass, out=np.empty_like(r))  # w, then (w r) r
-    terms *= r
-    terms *= r
+    """I of one configuration (a float) or of each row of an (..., n, 2) stack.
+
+    The n x n table of terms (m_a m_b r_ab) r_ab is symmetric bit for bit, as the
+    distances are and m_a m_b = m_b m_a, so past _STRIP_ROWS bodies
+    ``_symmetric_table`` computes only its upper triangle; the sum still runs over the
+    whole table, so I rounds as the sum of the full table computed entry by entry does.
+    """
+    terms = _symmetric_table(_inertia_rows, q, mass)
     return _per_configuration(terms.sum(axis=(-2, -1)) / (2.0 * float(mass.sum())), q)
 
 

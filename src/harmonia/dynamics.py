@@ -99,22 +99,28 @@ def _check_sample_budget(samples: int, n: int, field: str) -> None:
                                      f"over {MAX_SAMPLES} samples x bodies")
 
 
-def _owned(values) -> np.ndarray:
-    """``values`` itself when it is a read-only float64 array, else a float copy."""
+def _floats(values, field: str, ndmin: int = 0) -> np.ndarray:
+    """``values`` as a float array; where numpy cannot cast them, each passes the number
+    gate, which refuses a string as ValidationError on ``field`` and takes an int past
+    the doubles as +/-inf."""
+    try:
+        return np.array(values, dtype=float, ndmin=ndmin)
+    except (OverflowError, TypeError, ValueError):
+        entries = np.array(values, dtype=object, ndmin=ndmin)
+        return np.array([_number(t, field) for t in entries.flat]).reshape(entries.shape)
+
+
+def _owned(values, field: str) -> np.ndarray:
+    """``values`` itself when it is a read-only float64 array, else ``_floats``' copy."""
     if isinstance(values, np.ndarray) and values.dtype == np.float64 \
             and not values.flags.writeable:
         return values
-    return np.array(values, dtype=float)
+    return _floats(values, field)
 
 
 def _finite_times(times) -> np.ndarray:
-    """``times`` as a float array of finite numbers; where numpy cannot cast them, each
-    passes the number gate, which refuses a string and takes an int past the doubles as inf."""
-    try:
-        times = np.array(times, dtype=float, ndmin=1)
-    except (OverflowError, TypeError, ValueError):
-        entries = np.array(times, dtype=object, ndmin=1)
-        times = np.array([_number(t, "times") for t in entries.flat]).reshape(entries.shape)
+    """``times`` as a float array, at least 1-d, of finite numbers, through ``_floats``."""
+    times = _floats(times, "times", ndmin=1)
     if not np.isfinite(times).all():
         raise ValidationError("times", "samples must be finite")
     return times
@@ -133,7 +139,8 @@ class Trajectory:
 
     ``times`` has shape (S,), positions ``q`` and velocities ``v`` have
     shape (S, n, 2). All are checked once, here: matching shapes, finite
-    values and strictly increasing times. They are kept read-only: an
+    values and strictly increasing times; an entry numpy cannot cast passes
+    the number gate, as ``harmonic_flow``'s times do. They are kept read-only: an
     array that already is read-only float64 (as ``integrate`` and
     ``harmonic_flow`` build them) is held as it is, anything else is
     copied. The invariant series ``inertia``, ``potential_energy`` and
@@ -151,7 +158,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         _instance(self.potential, PotentialSpec, "potential")
         m = as_mass_vector(self.m)
-        times, q, v = _owned(self.times), _owned(self.q), _owned(self.v)
+        times, q, v = _owned(self.times, "times"), _owned(self.q, "q"), _owned(self.v, "v")
         if times.ndim != 1 or times.size == 0:
             raise ValidationError("times", "trajectory must be a nonempty sequence of times")
         for name, values in (("q", q), ("v", v)):

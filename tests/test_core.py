@@ -176,6 +176,15 @@ def test_mutual_distances_refuses_overflow():
     assert (err.value.field, err.value.reason) == ("r", "distances must be finite")
 
 
+def test_moment_of_inertia_refuses_overflow():
+    # the triangle's distances are doubles, their squares are not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            moment_of_inertia(TRIANGLE.q * 1e200, M3)
+    assert (err.value.field, err.value.reason) == ("q", "inertia overflow: I = inf")
+
+
 def test_moment_of_inertia_values():
     assert moment_of_inertia(TRIANGLE, M3) == pytest.approx(8.0 / 3.0, rel=1e-15)
     assert moment_of_inertia(RHOMBUS, M4) == pytest.approx(4.0, rel=1e-15)
@@ -559,17 +568,19 @@ def traced_peak(call) -> int:
 
 
 def test_kernels_build_each_table_in_place(rng):
-    # one buffer per table: a dense n x n kernel holds 2 tables at its peak (the
-    # distances and dy, or the distances and the terms), where it once held 4; the
-    # pair kernels hold at most what they did (6.03 and 5.00 P-vectors for a gradient
-    # and an energy), now 5 and 4
+    # a dense n x n kernel holds one table at its peak, plus two strips of its rows
+    # (the distances and dy, or the distances and the terms) and the 2 x 64 kB of
+    # buffers numpy's broadcast subtraction takes: 1.61 tables at n = 300, where the
+    # whole-table kernels held 2 tables and once 4; the pair kernels hold at most what
+    # they did (6.03 and 5.00 P-vectors for a gradient and an energy), now 5 and 4
     n = 300
     q = rng.uniform(-1.0, 1.0, (n, 2))
     mass = rng.uniform(0.1, 10.0, n)
     table, vector = 8 * n * n, 8 * (n * (n - 1) // 2)
+    strip = 8 * core._STRIP_ROWS * n
     for call in (lambda: _inertia(q, mass), lambda: _inertia(q[None], mass),
                  lambda: mutual_distances(q)):
-        assert traced_peak(call) <= 2.5 * table
+        assert traced_peak(call) <= table + 2 * strip + 2 * 2 ** 16 + 2 ** 14  # 16 kB of objects
     for potential in SINGULAR_AND_POWER:
         assert traced_peak(lambda: _gradient_rows(potential, q, mass)) <= 6.03 * vector
         assert traced_peak(lambda: _potential(potential, q, mass)) <= 5.0 * vector

@@ -619,6 +619,35 @@ def test_trajectory_rejects_nonfinite_sample():
         assert err.value.field == field
 
 
+@pytest.mark.parametrize("times, reason", [
+    (["a", 1.0], "expected a number"),
+    ([0.0, 10 ** 400], "samples must be finite"),
+    ([0.0, -10 ** 400], "samples must be finite"),
+], ids=["string", "huge-int", "huge-negative-int"])
+def test_trajectory_gates_times_as_the_harmonic_flow_does(times, reason):
+    q = np.array([RHOMBUS.q, RHOMBUS.q])
+    with pytest.raises(ValidationError) as err:
+        Trajectory(times, q, np.zeros_like(q), HARMONIC, M4)
+    assert (err.value.field, err.value.reason) == ("times", reason)
+
+
+def test_trajectory_gates_positions_and_velocities_as_times():
+    q = np.array([RHOMBUS.q, RHOMBUS.q]).tolist()
+    bad_q, bad_v = [[row[:] for row in sample] for sample in q], np.zeros((2, 4, 2)).tolist()
+    bad_q[1][2][0], bad_v[0][1][1] = "a", 10 ** 400
+    for qq, vv, field, reason in ((bad_q, q, "q", "expected a number"),
+                                  (q, bad_v, "v", "samples must be finite")):
+        with pytest.raises(ValidationError) as err:
+            Trajectory([0.0, 1.0], qq, vv, HARMONIC, M4)
+        assert (err.value.field, err.value.reason) == (field, reason)
+
+
+def test_trajectory_keeps_read_only_float_arrays_without_a_copy():
+    traj = integrate(build_theorem2_state(1.0), IntegratorSpec("rk4", 0.1, 1.0), HARMONIC, M4)
+    again = Trajectory(traj.times, traj.q, traj.v, HARMONIC, M4)
+    assert again.times is traj.times and again.q is traj.q and again.v is traj.v
+
+
 def test_trajectory_rejects_shape_mismatch():
     q = np.array([RHOMBUS.q, RHOMBUS.q])
     cases = (
